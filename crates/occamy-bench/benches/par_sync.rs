@@ -2,9 +2,8 @@
 //! path: the per-quantum barrier round-trip the coordinator pays to
 //! open and close a conservative window, and the end-to-end cost of a
 //! domain-decomposed run against the identical serial run — which on a
-//! single core is a direct measurement of the split + window + walk
-//! (cross-domain merge) overhead, since no real concurrency can hide
-//! it.
+//! single core is a direct measurement of the split + window +
+//! mailbox overhead, since no real concurrency can hide it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use occamy_core::BmKind;
@@ -14,10 +13,10 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-/// One conservative window costs the coordinator two barrier waits
-/// (start the workers on the window, then wait for the window to
-/// drain) plus the serial walk. This measures just the barrier
-/// round-trips: `rounds` quanta across `workers` worker threads.
+/// One conservative window costs two barrier waits (start the workers
+/// on the window, then wait for the window to drain). This measures
+/// just the barrier round-trips: `rounds` quanta across `workers`
+/// worker threads.
 fn barrier_rounds(workers: usize, rounds: u64) -> u64 {
     let start = Barrier::new(workers + 1);
     let end = Barrier::new(workers + 1);
@@ -53,9 +52,8 @@ fn bench_barrier(c: &mut Criterion) {
 }
 
 /// A k=4 fat-tree (16 hosts, 4 pods → 4 event domains) running a
-/// shifted permutation plus a small incast — enough cross-pod traffic
-/// that every window carries cross-domain arrivals through the merge
-/// walk.
+/// shifted permutation — enough cross-pod traffic that every window
+/// carries cross-domain arrivals through the mailboxes.
 fn build_world(threads: usize) -> World {
     let mut sim = SimConfig::large_scale();
     sim.threads = threads;
@@ -95,8 +93,8 @@ fn run_world(threads: usize) -> u64 {
 
 /// Serial vs domain-decomposed execution of the identical workload.
 /// The `threads4` minus `serial` gap divided by `par_windows` is the
-/// full per-quantum sync cost (split amortized away, barrier wakeups,
-/// exec-log bookkeeping, and the cross-domain merge walk).
+/// full per-quantum sync cost (split amortized away, barrier wakeups
+/// and mailbox delivery).
 fn bench_run(c: &mut Criterion) {
     let mut group = c.benchmark_group("par_sync_run");
     group.sample_size(10);

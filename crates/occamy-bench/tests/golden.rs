@@ -1,6 +1,6 @@
 //! Golden-metric regression tracking (ROADMAP: "result regression
 //! tracking"): `golden/` holds committed smoke-scale `BENCH_<name>.json`
-//! snapshots of three stable scenarios; this test re-runs them
+//! snapshots of four stable scenarios; this test re-runs them
 //! in-process and fails when any *headline* metric drifts beyond
 //! tolerance.
 //!
@@ -13,8 +13,8 @@
 //! Regenerating after an *intentional* result change:
 //!
 //! ```text
-//! cd $(mktemp -d) && occamy-bench run fig03 fig12 fig20 --smoke --serial
-//! cp BENCH_fig03.json BENCH_fig12.json BENCH_fig20.json <repo>/golden/
+//! cd $(mktemp -d) && occamy-bench run fig03 fig12 fig20 perf_transport --smoke --serial --freeze-perf
+//! cp BENCH_<name>.json <repo>/golden/    # only the scenarios whose headline metrics moved
 //! ```
 
 use occamy_bench::registry::find_scenario;

@@ -5,14 +5,15 @@
 //! the *same* handler code. What differs is where scheduled events go
 //! and how a global component id maps to a storage index:
 //!
-//! - In a serial run the environment is the [`EventQueue`] itself:
-//!   pushes assign the next global sequence number immediately and
+//! - In a serial run the environment is the [`EventQueue`] itself and
 //!   every id *is* its storage index (identity translation).
-//! - In a parallel run the environment is a per-domain queue: pushes
-//!   are staged in a log (their global sequence numbers are assigned
-//!   later, by the inter-domain merge, in exactly the order a serial
-//!   run would have assigned them), and ids translate through the
-//!   domain's local index maps.
+//! - In a parallel run the environment is a per-domain queue: ids
+//!   translate through the domain's local index maps, and arrivals
+//!   bound for another domain go to an outbox instead of the queue.
+//!
+//! Either way a push gets its final key at push time — the executing
+//! event's domain ([`event_domain`]) is the key's origin — so both
+//! environments schedule identical keys.
 //!
 //! Both environments are zero-cost at the call sites: `execute_event`
 //! is monomorphized per `Env`, so the serial instantiation compiles to
@@ -34,6 +35,7 @@ use crate::metrics::Metrics;
 use crate::packet::{FlowId, Packet, PacketKind};
 use crate::switch::Switch;
 use crate::time::{ps_to_ns, tx_time_ps, Ps, NS};
+use crate::topology::DomainMap;
 use crate::transport::{FlowCold, FlowHot, FlowRx, TransportConsts};
 use crate::world::SamplerSpec;
 use crate::SimConfig;
@@ -143,6 +145,32 @@ pub(crate) struct Ctx<'a> {
     pub faults: &'a [FaultSpec],
     /// Metric sink (per-domain in parallel runs).
     pub metrics: &'a mut Metrics,
+}
+
+/// The event domain that executes `ev`: the one owning the state its
+/// handler mutates. Sender flow halves live with the source host and
+/// samplers (serial-only) count as domain 0.
+#[inline]
+pub(crate) fn event_domain(
+    dm: &DomainMap,
+    hot: &[FlowHot],
+    cbrs: &[CbrSource],
+    faults: &[FaultSpec],
+    ev: &Event,
+) -> u32 {
+    match *ev {
+        Event::Arrive { node, .. } => dm.node_domain(node),
+        Event::PortFree { switch, .. } | Event::ExpelRetry { switch, .. } => {
+            dm.switch_domain[switch as usize]
+        }
+        Event::HostTxFree { host } => dm.host_domain[host as usize],
+        Event::Rto { flow } | Event::FlowStart { flow } => {
+            dm.host_domain[hot[flow as usize].src as usize]
+        }
+        Event::CbrEmit { source } => dm.host_domain[cbrs[source as usize].host],
+        Event::Fault { fault } => dm.fault_domain(&faults[fault as usize].kind),
+        Event::Sample { .. } => 0,
+    }
 }
 
 /// Executes one event at time `t`.

@@ -23,9 +23,16 @@
 //! - **A deferred lane** for the bulk of setup-time events (flow
 //!   starts): sorted once instead of cascading through the wheel.
 //!
-//! Events at equal timestamps pop in insertion order regardless of lane
-//! (wheel or deferred — both share one global sequence counter), which
-//! keeps runs bit-for-bit reproducible.
+//! Events at equal timestamps pop by their canonical key
+//! `(time, origin domain, per-domain seq)` regardless of lane (wheel or
+//! deferred share the counters). The origin is the event domain (see
+//! [`crate::topology::DomainMap`]) of the event that was executing when
+//! the push happened, and each origin numbers its pushes in order; setup
+//! pushes and every push of a one-domain world come from domain 0, so
+//! such worlds order ties by plain insertion order. The serial loop and
+//! every domain of the parallel executor assign the same key to the
+//! same push, which keeps runs bit-for-bit reproducible for any thread
+//! count.
 
 use crate::packet::{FlowId, Packet};
 use crate::time::Ps;
@@ -156,23 +163,35 @@ impl PacketPool {
     }
 }
 
-/// Heap ordering key: `(time, global insertion sequence)`.
+/// Queue ordering key: `(time, origin << 48 | per-domain seq)`.
 pub(crate) use crate::timer::Key;
+
+/// Bit position of the origin domain in a key's tie-break word.
+const ORIGIN_SHIFT: u32 = 48;
+/// The per-domain push count within a tie-break word.
+const SEQ_MASK: u64 = (1 << ORIGIN_SHIFT) - 1;
 
 /// Time-ordered event queue.
 ///
-/// Events at equal timestamps pop in insertion order, which makes runs
-/// bit-for-bit reproducible regardless of queue internals.
+/// Events at equal timestamps pop by origin domain, then in their
+/// origin's push order, which makes runs bit-for-bit reproducible
+/// regardless of queue internals.
 #[derive(Default)]
 pub struct EventQueue {
     /// All runtime events, bucketed by expiry tick.
     wheel: TimerWheel,
-    /// Setup-time events, kept sorted descending by `(at, seq)` so the
-    /// next one is `last()`; sorted lazily before the first pop after a
-    /// batch of [`EventQueue::push_deferred`] calls.
+    /// Setup-time events, kept sorted descending by key so the next one
+    /// is `last()`; sorted lazily before the first pop after a batch of
+    /// [`EventQueue::push_deferred`] calls.
     deferred: Vec<(Key, Event)>,
     deferred_dirty: bool,
-    next_seq: u64,
+    /// Tie-break word of the next push: `origin << 48 | count`.
+    next_tag: u64,
+    /// Domain whose counter `next_tag` carries.
+    origin: u32,
+    /// Push counters of the other domains, indexed by domain (stale at
+    /// `origin`, whose live count sits in `next_tag`).
+    counts: Vec<u64>,
     pool: PacketPool,
 }
 
@@ -182,27 +201,68 @@ impl EventQueue {
         EventQueue::default()
     }
 
+    /// Assigns the next key at time `at` for the current origin.
     #[inline]
-    fn seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
+    pub(crate) fn stamp(&mut self, at: Ps) -> Key {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        debug_assert!(self.next_tag >> ORIGIN_SHIFT == self.origin as u64);
+        (at, tag)
+    }
+
+    /// Makes domain `d` the origin of subsequent pushes: the domain of
+    /// the event about to execute (0 outside the run loop).
+    #[inline]
+    pub(crate) fn set_origin(&mut self, d: u32) {
+        if d != self.origin {
+            let (o, i) = (self.origin as usize, d as usize);
+            if self.counts.len() <= o.max(i) {
+                self.counts.resize(o.max(i) + 1, 0);
+            }
+            self.counts[o] = self.next_tag & SEQ_MASK;
+            self.origin = d;
+            self.next_tag = (d as u64) << ORIGIN_SHIFT | self.counts[i];
+        }
+    }
+
+    /// Number of pushes domain `d` has made.
+    pub(crate) fn seq_of(&self, d: u32) -> u64 {
+        if d == self.origin {
+            self.next_tag & SEQ_MASK
+        } else {
+            self.counts.get(d as usize).copied().unwrap_or(0)
+        }
+    }
+
+    /// Sets domain `d`'s push count (split and merge of a parallel run).
+    pub(crate) fn set_seq(&mut self, d: u32, count: u64) {
+        if d == self.origin {
+            self.next_tag = (d as u64) << ORIGIN_SHIFT | count;
+        } else {
+            let i = d as usize;
+            if self.counts.len() <= i {
+                self.counts.resize(i + 1, 0);
+            }
+            self.counts[i] = count;
+        }
     }
 
     /// Schedules `event` at absolute time `at`.
     #[inline]
     pub fn push(&mut self, at: Ps, event: Event) {
-        let seq = self.seq();
-        self.wheel.arm((at, seq), event);
+        let key = self.stamp(at);
+        self.wheel.arm(key, event);
     }
 
     /// Schedules a setup-time event (e.g. a flow start) on the deferred
     /// lane: bulk-sorted once instead of paying heap maintenance on the
     /// hot path. Ordering relative to [`EventQueue::push`] events is
-    /// identical — ties still break on global insertion order.
+    /// identical — ties break on the same keys. Setup pushes come from
+    /// domain 0.
     pub fn push_deferred(&mut self, at: Ps, event: Event) {
-        let seq = self.seq();
-        self.deferred.push(((at, seq), event));
+        debug_assert_eq!(self.origin, 0, "setup push inside the run loop");
+        let key = self.stamp(at);
+        self.deferred.push((key, event));
         self.deferred_dirty = true;
     }
 
@@ -248,10 +308,16 @@ impl EventQueue {
     /// Pops the earliest event if it is scheduled at or before `limit` —
     /// the run loop's single probe-and-pop (a separate peek would settle
     /// and compare the lanes twice per event).
+    #[inline]
     pub fn pop_at_most(&mut self, limit: Ps) -> Option<(Ps, Event)> {
+        self.pop_keyed(limit).map(|((at, _), event)| (at, event))
+    }
+
+    /// [`EventQueue::pop_at_most`], returning the event's key.
+    pub(crate) fn pop_keyed(&mut self, limit: Ps) -> Option<(Key, Event)> {
         self.settle_deferred();
-        // Pick the lane holding the global (time, seq) minimum. The
-        // wheel probe is O(1) once its ready buffer is filled.
+        // Pick the lane holding the minimum key. The wheel probe is
+        // O(1) once its ready buffer is filled.
         let w = self.wheel.peek();
         let from_deferred = match (self.deferred.last(), w) {
             (Some(d), Some(wk)) => d.0 < wk,
@@ -259,18 +325,17 @@ impl EventQueue {
             (None, Some(_)) => false,
             (None, None) => return None,
         };
-        let ((at, _), event) = if from_deferred {
+        if from_deferred {
             if self.deferred.last()?.0 .0 > limit {
                 return None;
             }
-            self.deferred.pop()?
+            self.deferred.pop()
         } else {
             if w?.0 > limit {
                 return None;
             }
-            self.wheel.pop()?
-        };
-        Some((at, event))
+            self.wheel.pop()
+        }
     }
 
     /// Time of the earliest pending event.
@@ -292,49 +357,23 @@ impl EventQueue {
     }
 
     // ---------------------------------------------------------------
-    // Crate-internal seams for the parallel executor (`crate::par`).
-    //
-    // The domain split drains a serial queue *with its ordering keys*
-    // into per-domain wheels, and the merge-back reconstructs a queue
-    // whose keys and sequence counter are exactly what a serial run
-    // would hold — these accessors exist so that round trip is exact.
+    // Crate-internal seams for the parallel executor (`crate::par`),
+    // which moves entries between queues under their keys.
     // ---------------------------------------------------------------
 
-    /// Pops the earliest event together with its `(time, seq)` key.
-    pub(crate) fn pop_keyed(&mut self) -> Option<(Key, Event)> {
-        self.settle_deferred();
-        let w = self.wheel.peek();
-        let from_deferred = match (self.deferred.last(), w) {
-            (Some(d), Some(wk)) => d.0 < wk,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if from_deferred {
-            self.deferred.pop()
-        } else {
-            self.wheel.pop()
+    /// Schedules a packet arrival under an already-assigned key.
+    pub(crate) fn arm_arrival(&mut self, key: Key, node: NodeId, pkt: Packet) {
+        let pkt = self.pool.insert(pkt);
+        self.wheel.arm(key, Event::Arrive { node, pkt });
+    }
+
+    /// Re-arms an entry popped from `src` under its key, moving an
+    /// arrival's packet into this queue's pool.
+    pub(crate) fn adopt(&mut self, src: &mut EventQueue, key: Key, event: Event) {
+        match event {
+            Event::Arrive { node, pkt } => self.arm_arrival(key, node, src.take_packet(pkt)),
+            other => self.wheel.arm(key, other),
         }
-    }
-
-    /// Schedules `event` under an explicit, already-assigned key.
-    pub(crate) fn arm_keyed(&mut self, key: Key, event: Event) {
-        self.wheel.arm(key, event);
-    }
-
-    /// The next sequence number the queue would assign.
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Overrides the sequence counter (merge-back after a parallel run).
-    pub(crate) fn set_next_seq(&mut self, v: u64) {
-        self.next_seq = v;
-    }
-
-    /// Interns a packet without scheduling anything, returning its id.
-    pub(crate) fn intern(&mut self, pkt: Packet) -> PacketId {
-        self.pool.insert(pkt)
     }
 }
 
@@ -369,6 +408,30 @@ mod tests {
     }
 
     #[test]
+    fn ties_break_by_origin_then_domain_push_order() {
+        let mut q = EventQueue::new();
+        for (origin, host) in [(2, 0), (1, 1), (2, 2), (1, 3)] {
+            q.set_origin(origin);
+            q.push(10, Event::HostTxFree { host });
+        }
+        q.push(5, Event::HostTxFree { host: 4 }); // origin 1
+        q.set_origin(0);
+        q.push_deferred(10, Event::HostTxFree { host: 5 });
+        assert_eq!((q.seq_of(0), q.seq_of(1), q.seq_of(2)), (1, 3, 2));
+        let order: Vec<(Ps, u32)> = std::iter::from_fn(|| {
+            q.pop().map(|(t, e)| match e {
+                Event::HostTxFree { host } => (t, host),
+                _ => unreachable!(),
+            })
+        })
+        .collect();
+        assert_eq!(
+            order,
+            vec![(5, 4), (10, 5), (10, 1), (10, 3), (10, 0), (10, 2)]
+        );
+    }
+
+    #[test]
     fn peek_matches_pop() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
@@ -382,8 +445,8 @@ mod tests {
     #[test]
     fn deferred_lane_merges_in_global_order() {
         // Interleave both lanes at equal and distinct times: pops must
-        // follow (time, global insertion sequence) exactly as if all
-        // events had gone through one heap.
+        // follow (time, insertion sequence) exactly as if all events
+        // had gone through one heap.
         let mut q = EventQueue::new();
         q.push_deferred(20, Event::HostTxFree { host: 0 }); // seq 0
         q.push(10, Event::HostTxFree { host: 1 }); // seq 1
@@ -405,8 +468,8 @@ mod tests {
     #[test]
     fn timer_lane_merges_in_global_order() {
         // Timers, heap events and deferred events at equal and distinct
-        // times: pops must follow (time, global insertion sequence)
-        // exactly as if all events had gone through one heap.
+        // times: pops must follow (time, insertion sequence) exactly as
+        // if all events had gone through one heap.
         let mut q = EventQueue::new();
         q.push_timer(20, Event::HostTxFree { host: 0 }); // seq 0
         q.push(10, Event::HostTxFree { host: 1 }); // seq 1

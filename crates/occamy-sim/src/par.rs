@@ -20,70 +20,60 @@
 //!
 //! # Exact serial order
 //!
-//! The subtlety is the global `(time, seq)` tie-break: a serial
-//! [`EventQueue`] assigns every push a global sequence number at push
-//! time, and equal-time events pop in push order. Domains cannot hand
-//! out global sequence numbers concurrently without serializing, so
-//! the executor splits the assignment:
+//! Equal-time events break ties on the canonical key
+//! `(time, origin domain, per-domain seq)` (see [`crate::event`]): the
+//! origin is the domain of the event executing when the push happens,
+//! and each domain numbers its own pushes. The serial loop assigns keys
+//! the same way, so no global counter has to be reproduced. A domain's
+//! counter only advances while that domain's events execute, and a
+//! domain executes its events in key order in both engines, so every
+//! push gets the same key here as in a serial run — by construction.
 //!
-//! - Events whose sequence number is already known (everything armed
-//!   before the window) sit in the domain's **main wheel** under their
-//!   concrete `(time, seq)` key.
-//! - Pushes made *during* the window go to a **staged** lane keyed
-//!   `(time, push_index)` and are recorded in a per-domain `push_log`;
-//!   each executed event appends an `exec_log` record counting its
-//!   pushes and drop samples.
+//! Each domain owns an [`EventQueue`] with its origin fixed. A
+//! domain-local push gets its key and goes straight into that queue. A
+//! cross-domain arrival gets its key at push time too and is posted to
+//! the (source, destination) mailbox at the end of the window; the
+//! worker owning the destination delivers it into its queue at the
+//! start of the next window. Arrivals land after the window that sent
+//! them, so delivering them one window late never reorders anything.
 //!
-//! Within one domain and one window, push order equals eventual serial
-//! sequence order (the serial counter is monotonic, and all of a
-//! domain's window events execute in serial order locally), so
-//! `(time, push_index)` sorts staged entries exactly as `(time, seq)`
-//! will. Staged entries sort after main entries at equal times because
-//! every pending sequence number exceeds every assigned one.
-//!
-//! After each window a serial **walk** replays the interleaving a
-//! serial run would have produced: it D-way-merges the domains'
-//! exec logs by `(time, seq)` — a record's sequence number is always
-//! known when it reaches its log's head, because its parent event
-//! appears earlier in the same log — and assigns the global counter to
-//! each push in order. Cross-domain packets then arm in the receiving
-//! domain's main wheel under their concrete key, leftover staged
-//! entries migrate to their own main wheel, and exact-order metric
-//! streams (per-drop utilization samples) splice into the global log.
-//! The walk touches only log metadata — O(events) with a tiny
-//! constant — while packet processing runs on the workers.
+//! Per-drop utilization samples, the one exact-order metric stream,
+//! are tagged with their executing event's key and merged by key when
+//! the run ends.
 //!
 //! # Threading
 //!
 //! `min(threads, n_domains)` workers run under [`std::thread::scope`];
-//! shards are round-robin assigned, and two [`Barrier`]s delimit each
-//! window (workers execute; the coordinator walks). No unsafe code,
-//! no lock contention: each `Mutex` is only ever taken uncontended on
-//! its side of a barrier.
+//! the calling thread is worker 0 and the coordinator. Shards are
+//! round-robin assigned, and two [`Barrier`]s delimit each window.
+//! Between them each worker delivers its shards' mail, executes them
+//! up to the window end, posts their outgoing mail and reports their
+//! earliest pending time, from which the coordinator opens the next
+//! window. No unsafe code: each shard `Mutex` is only taken by its
+//! worker (and by the coordinator while workers are parked), and a
+//! mailbox by its two endpoints.
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Barrier, Mutex};
 
 use crate::cbr::CbrSource;
-use crate::engine::{execute_event, Ctx, Env};
-use crate::event::{Event, Key, NodeId, PacketId, PacketPool};
-use crate::faults::{FaultKind, FaultSpec};
+use crate::engine::{event_domain, execute_event, Ctx, Env};
+use crate::event::{Event, EventQueue, Key, NodeId, PacketId};
+use crate::faults::FaultSpec;
 use crate::host::Host;
 use crate::metrics::{CbrCounters, Metrics};
 use crate::packet::{FlowId, Packet};
 use crate::switch::Switch;
 use crate::time::Ps;
-use crate::timer::TimerWheel;
+use crate::topology::DomainMap;
 use crate::transport::{FlowCold, FlowHot, FlowRx, TransportConsts};
 use crate::world::World;
 use crate::SimConfig;
 
 /// Component → domain/storage-index tables shared by every shard.
 struct Plan {
-    host_dom: Vec<u32>,
+    dm: DomainMap,
     host_loc: Vec<u32>,
-    sw_dom: Vec<u32>,
     sw_loc: Vec<u32>,
     /// Sender-side (hot/cold) flow halves live in the source host's
     /// domain; receiver halves ([`FlowRx`]) in the destination's.
@@ -93,137 +83,53 @@ struct Plan {
     rx_loc: Vec<u32>,
     cbr_dom: Vec<u32>,
     cbr_loc: Vec<u32>,
-    /// Owning domain per fault-table entry: the switch's domain for
-    /// link/drain faults, the host's for churn (matching the state the
-    /// handler mutates — churn also touches the host's flows, whose
-    /// hot/cold halves live in the same domain).
-    fault_dom: Vec<u32>,
     /// Global flow ids per domain, in storage order (inverse of
     /// `flow_loc`, for translating host ready queues at merge).
     flow_gid: Vec<Vec<FlowId>>,
 }
 
-impl Plan {
-    fn node_dom(&self, n: NodeId) -> u32 {
-        match n {
-            NodeId::Host(h) => self.host_dom[h as usize],
-            NodeId::Switch(s) => self.sw_dom[s as usize],
-        }
-    }
+/// Lock failure reason: a worker panicked mid-window, so the run is lost.
+const POISONED: &str = "a window worker panicked";
 
-    /// The domain that executes `ev` — the one owning the state the
-    /// handler mutates.
-    fn event_dom(&self, ev: &Event) -> u32 {
-        match *ev {
-            Event::Arrive { node, .. } => self.node_dom(node),
-            Event::PortFree { switch, .. } | Event::ExpelRetry { switch, .. } => {
-                self.sw_dom[switch as usize]
-            }
-            Event::HostTxFree { host } => self.host_dom[host as usize],
-            Event::Rto { flow } | Event::FlowStart { flow } => self.flow_dom[flow as usize],
-            Event::CbrEmit { source } => self.cbr_dom[source as usize],
-            Event::Fault { fault } => self.fault_dom[fault as usize],
-            // Worlds with samplers never engage the parallel path.
-            Event::Sample { .. } => unreachable!("samplers force serial execution"),
-        }
-    }
-}
+/// A cross-domain packet arrival with its final key.
+type Mail = (Key, NodeId, Packet);
 
-/// A push made during the current window, in push order. Sequence
-/// numbers are assigned to these entries — in exactly this order — by
-/// the post-window walk.
-#[derive(Clone, Copy)]
-enum PushKind {
-    /// Payload sits in the domain's staged lane under
-    /// `(at, push_index)`.
-    Local,
-    /// A cross-domain packet arrival; carried here by value and armed
-    /// in the destination's main wheel by the walk.
-    Cross { node: NodeId, pkt: Packet },
-}
-
-#[derive(Clone, Copy)]
-struct PushRec {
-    at: Ps,
-    kind: PushKind,
-}
-
-/// Which queue an executed event was popped from, i.e. whether its
-/// serial sequence number is already concrete or still pending.
-#[derive(Clone, Copy)]
-enum ExecKey {
-    Concrete(u64),
-    Pending(u64),
-}
-
-/// One executed event: enough metadata for the walk to reconstruct the
-/// serial interleaving without re-touching any packet state.
-#[derive(Clone, Copy)]
-struct ExecRec {
-    at: Ps,
-    key: ExecKey,
-    n_pushes: u32,
-    n_drops: u32,
-}
-
-/// Staged lane entry: a min-heap on `(at, push_index)`.
-struct Staged(Key, Event);
-
-impl PartialEq for Staged {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl Eq for Staged {}
-impl PartialOrd for Staged {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Staged {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.cmp(&self.0) // reversed: BinaryHeap::pop yields the min
-    }
-}
-
-/// The event environment of one domain during a window (the parallel
-/// counterpart of the serial [`EventQueue`] `Env`).
+/// The event environment of one domain (the parallel counterpart of
+/// the serial [`EventQueue`] `Env`).
 struct DomainQueue {
     dom: u32,
     plan: Arc<Plan>,
-    staged: BinaryHeap<Staged>,
-    push_log: Vec<PushRec>,
-    pool: PacketPool,
+    /// This domain's events; every push takes origin `dom`.
+    events: EventQueue,
+    /// Cross-domain arrivals pushed this window, by destination domain.
+    out: Vec<Vec<Mail>>,
 }
 
 impl Env for DomainQueue {
+    #[inline]
     fn push(&mut self, at: Ps, ev: Event) {
-        let idx = self.push_log.len() as u64;
-        self.push_log.push(PushRec {
-            at,
-            kind: PushKind::Local,
-        });
-        self.staged.push(Staged((at, idx), ev));
+        self.events.push(at, ev);
     }
 
+    #[inline]
     fn push_timer(&mut self, at: Ps, ev: Event) {
-        self.push(at, ev);
+        self.events.push(at, ev);
     }
 
+    #[inline]
     fn push_arrival(&mut self, at: Ps, node: NodeId, pkt: Packet) {
-        if self.plan.node_dom(node) == self.dom {
-            let id = self.pool.insert(pkt);
-            self.push(at, Event::Arrive { node, pkt: id });
+        let dst = self.plan.dm.node_domain(node);
+        if dst == self.dom {
+            self.events.push_arrival(at, node, pkt);
         } else {
-            self.push_log.push(PushRec {
-                at,
-                kind: PushKind::Cross { node, pkt },
-            });
+            let key = self.events.stamp(at);
+            self.out[dst as usize].push((key, node, pkt));
         }
     }
 
+    #[inline]
     fn take_packet(&mut self, id: PacketId) -> Packet {
-        self.pool.take(id)
+        self.events.take_packet(id)
     }
 
     #[inline]
@@ -265,13 +171,13 @@ struct Store {
     metrics: Metrics,
 }
 
-/// One event domain: owned state, its event queues and window logs.
+/// One event domain: owned state and its event queue.
 struct Shard {
     store: Store,
-    /// Events with concrete `(time, seq)` keys.
-    main: TimerWheel,
     q: DomainQueue,
-    exec_log: Vec<ExecRec>,
+    /// Key of the executing event of each drop sample in
+    /// `store.metrics`, in recording (hence key) order.
+    drop_keys: Vec<Key>,
 }
 
 /// Per-run parallel execution statistics, surfaced on the world after
@@ -288,45 +194,60 @@ pub struct ParStats {
 
 /// Runs `world` in parallel until every event at time `<= limit` has
 /// executed. Pre/post state is exactly what the serial loop would
-/// leave: same component state, same event keys, same sequence
-/// counter, same metrics (including exact-order drop sample streams).
+/// leave: same component state, same event keys, same per-domain
+/// counters, same metrics (including exact-order drop sample streams).
 pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
     let dm = world.domains.clone().expect("parallel run without domains");
     let nd = dm.n_domains();
     let delta = dm.lookahead_ps;
     debug_assert!(nd > 1 && delta > 0);
 
-    // ----- Split: plan + move component state into shards -----
+    // ----- Split: plan + move events and component state into shards -----
     let n_cbrs = world.cbrs.len();
-    let plan = Arc::new(build_plan(world, &dm));
-    let mut shards: Vec<Shard> = (0..nd)
-        .map(|d| Shard {
-            store: Store {
-                now: world.now,
-                metrics: Metrics {
-                    cbr: vec![CbrCounters::default(); n_cbrs],
-                    ..Metrics::default()
+    let plan = Arc::new(build_plan(world, dm));
+    let mut shards: Vec<Shard> = (0..nd as u32)
+        .map(|d| {
+            let mut events = EventQueue::new();
+            events.set_origin(d);
+            events.set_seq(d, world.events.seq_of(d));
+            Shard {
+                store: Store {
+                    now: world.now,
+                    metrics: Metrics {
+                        cbr: vec![CbrCounters::default(); n_cbrs],
+                        ..Metrics::default()
+                    },
+                    ..Store::default()
                 },
-                ..Store::default()
-            },
-            main: TimerWheel::default(),
-            q: DomainQueue {
-                dom: d as u32,
-                plan: Arc::clone(&plan),
-                staged: BinaryHeap::new(),
-                push_log: Vec::new(),
-                pool: PacketPool::default(),
-            },
-            exec_log: Vec::new(),
+                q: DomainQueue {
+                    dom: d,
+                    plan: Arc::clone(&plan),
+                    events,
+                    out: vec![Vec::new(); nd],
+                },
+                drop_keys: Vec::new(),
+            }
         })
         .collect();
 
-    distribute(std::mem::take(&mut world.hosts), &plan.host_dom, |d, h| {
-        shards[d].store.hosts.push(h)
-    });
-    distribute(std::mem::take(&mut world.switches), &plan.sw_dom, |d, s| {
-        shards[d].store.switches.push(s)
-    });
+    // Route every pending event, key and all, to its executing domain.
+    while let Some((key, ev)) = world.events.pop_keyed(Ps::MAX) {
+        let d = event_domain(&plan.dm, &world.flows.hot, &world.cbrs, &world.faults, &ev);
+        shards[d as usize]
+            .q
+            .events
+            .adopt(&mut world.events, key, ev);
+    }
+    distribute(
+        std::mem::take(&mut world.hosts),
+        &plan.dm.host_domain,
+        |d, h| shards[d].store.hosts.push(h),
+    );
+    distribute(
+        std::mem::take(&mut world.switches),
+        &plan.dm.switch_domain,
+        |d, s| shards[d].store.switches.push(s),
+    );
     let flows = std::mem::take(&mut world.flows);
     distribute(flows.hot, &plan.flow_dom, |d, f| {
         shards[d].store.hot.push(f)
@@ -347,21 +268,10 @@ pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
             }
         }
     }
-
-    // Drain the global queue into the domains' main wheels, keys and
-    // all; the counter continues from the serial assignment.
-    let mut counter = world.events.next_seq();
-    while let Some((key, ev)) = world.events.pop_keyed() {
-        let d = plan.event_dom(&ev) as usize;
-        match ev {
-            Event::Arrive { node, pkt } => {
-                let p = world.events.take_packet(pkt);
-                let id = shards[d].q.pool.insert(p);
-                shards[d].main.arm(key, Event::Arrive { node, pkt: id });
-            }
-            other => shards[d].main.arm(key, other),
-        }
-    }
+    let mut lo = shards
+        .iter_mut()
+        .filter_map(|s| s.q.events.peek_time())
+        .min();
 
     // ----- Windowed execution -----
     let workers = world.cfg.threads.min(nd).max(1);
@@ -371,16 +281,29 @@ pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
     // every worker (events carry global indices into it).
     let faults = world.faults.clone();
     let shards: Vec<Mutex<Shard>> = shards.into_iter().map(Mutex::new).collect();
+    // `mail[src * nd + dst]`: arrivals posted by `src` for `dst`.
+    let mail: Vec<Mutex<Vec<Mail>>> = (0..nd * nd).map(|_| Mutex::default()).collect();
+    // Earliest pending time each worker reported (`Ps::MAX`: none).
+    let next: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(Ps::MAX)).collect();
     let hi_shared = AtomicU64::new(0);
     let done = AtomicBool::new(false);
-    let start = Barrier::new(workers + 1);
-    let end = Barrier::new(workers + 1);
-    let mut gdrop_buf: Vec<f64> = Vec::new();
-    let mut gdrop_membw: Vec<f64> = Vec::new();
+    let start = Barrier::new(workers);
+    let end = Barrier::new(workers);
     let mut stats = ParStats {
         windows: 0,
         domain_events: vec![0; nd],
         workers,
+    };
+    let work = |w: usize| {
+        let hi = hi_shared.load(SeqCst);
+        let mut earliest = Ps::MAX;
+        for i in (w..nd).step_by(workers) {
+            let mut sh = shards[i].lock().expect(POISONED);
+            if let Some(t) = run_shard_window(&mut sh, &mail, hi, &cfg, &consts, &faults) {
+                earliest = earliest.min(t);
+            }
+        }
+        next[w].store(earliest, SeqCst);
     };
 
     // Telemetry cadence for this run (0 = off). Snapshots piggyback on
@@ -395,53 +318,39 @@ pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
     let mut next_snap = cadence.map_or(u64::MAX, |c| (base_events / c + 1) * c.get());
 
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let (shards, hi_shared, done) = (&shards, &hi_shared, &done);
-            let (start, end) = (&start, &end);
-            let (cfg, consts, faults) = (&cfg, &consts, &faults);
+        for w in 1..workers {
+            let (work, start, end, done) = (&work, &start, &end, &done);
             s.spawn(move || loop {
                 start.wait();
                 if done.load(SeqCst) {
                     break;
                 }
-                let hi = hi_shared.load(SeqCst);
-                for i in (w..nd).step_by(workers) {
-                    let mut sh = shards[i].lock().unwrap();
-                    run_shard_window(&mut sh, hi, cfg, consts, faults);
-                }
+                work(w);
                 end.wait();
             });
         }
-        loop {
-            // Next window start: the earliest pending event anywhere.
-            // Staged lanes are empty between windows (the walk drains
-            // them), so the main wheels see everything.
-            let mut w0: Option<Ps> = None;
-            for sh in &shards {
-                if let Some((t, _)) = sh.lock().unwrap().main.peek() {
-                    w0 = Some(w0.map_or(t, |m| m.min(t)));
-                }
-            }
-            let Some(w0) = w0 else { break };
-            if w0 > limit {
-                break;
-            }
+        while let Some(w0) = lo.filter(|&t| t <= limit) {
             let hi = w0.saturating_add(delta - 1).min(limit);
             hi_shared.store(hi, SeqCst);
             start.wait();
+            work(0);
             end.wait();
-            walk(
-                &shards,
-                &plan,
-                &mut counter,
-                &mut gdrop_buf,
-                &mut gdrop_membw,
-                &mut stats,
-            );
             stats.windows += 1;
-            let total = base_events + stats.domain_events.iter().sum::<u64>();
+            lo = next
+                .iter()
+                .map(|t| t.load(SeqCst))
+                .min()
+                .filter(|&t| t != Ps::MAX);
+            if cadence.is_none() {
+                continue;
+            }
+            let guards: Vec<_> = shards.iter().map(|m| m.lock().expect(POISONED)).collect();
+            let total = base_events
+                + guards
+                    .iter()
+                    .map(|g| g.store.metrics.events_processed)
+                    .sum::<u64>();
             if total >= next_snap {
-                let guards: Vec<_> = shards.iter().map(|m| m.lock().unwrap()).collect();
                 let mut refs: Vec<&Switch> = Vec::new();
                 let mut losses = base_losses;
                 let mut fault_drops = base_fault_drops;
@@ -474,29 +383,48 @@ pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
     // ----- Merge back into the serial world -----
     let mut shards: Vec<Shard> = shards
         .into_iter()
-        .map(|m| m.into_inner().unwrap())
+        .map(|m| m.into_inner().expect(POISONED))
         .collect();
-    for sh in &mut shards {
-        while let Some((key, ev)) = sh.main.pop() {
-            match ev {
-                Event::Arrive { node, pkt } => {
-                    let p = sh.q.pool.take(pkt);
-                    let id = world.events.intern(p);
-                    world.events.arm_keyed(key, Event::Arrive { node, pkt: id });
-                }
-                other => world.events.arm_keyed(key, other),
-            }
+    // Arrivals posted in the last window, not yet delivered.
+    for (key, node, pkt) in mail
+        .into_iter()
+        .flat_map(|m| m.into_inner().expect(POISONED))
+    {
+        world.events.arm_arrival(key, node, pkt);
+    }
+    let mut drops: Vec<(Key, f64, f64)> = Vec::new();
+    for (d, sh) in shards.iter_mut().enumerate() {
+        let events = &mut sh.q.events;
+        while let Some((key, ev)) = events.pop_keyed(Ps::MAX) {
+            world.events.adopt(events, key, ev);
         }
-        debug_assert!(sh.q.staged.is_empty() && sh.q.push_log.is_empty());
+        world.events.set_seq(d as u32, events.seq_of(d as u32));
         for host in &mut sh.store.hosts {
             for f in &mut host.ready {
-                *f = sh.q.plan.flow_gid[sh.q.dom as usize][*f as usize];
+                *f = plan.flow_gid[d][*f as usize];
             }
         }
+        let m = &sh.store.metrics;
+        stats.domain_events[d] = m.events_processed;
+        drops.extend(
+            sh.drop_keys
+                .iter()
+                .zip(&m.drop_buffer_util)
+                .zip(&m.drop_membw_util)
+                .map(|((&k, &b), &w)| (k, b, w)),
+        );
     }
-    world.events.set_next_seq(counter);
-    world.hosts = reassemble(&mut shards, &plan.host_dom, |s| &mut s.store.hosts);
-    world.switches = reassemble(&mut shards, &plan.sw_dom, |s| &mut s.store.switches);
+    // Each shard's samples are already in key order; the stable sort
+    // merges those runs into the serial order.
+    drops.sort_by_key(|d| d.0);
+    for (_, b, w) in drops {
+        world.metrics.drop_buffer_util.push(b);
+        world.metrics.drop_membw_util.push(w);
+    }
+    world.hosts = reassemble(&mut shards, &plan.dm.host_domain, |s| &mut s.store.hosts);
+    world.switches = reassemble(&mut shards, &plan.dm.switch_domain, |s| {
+        &mut s.store.switches
+    });
     world.flows.hot = reassemble(&mut shards, &plan.flow_dom, |s| &mut s.store.hot);
     world.flows.cold = reassemble(&mut shards, &plan.flow_dom, |s| &mut s.store.cold);
     world.flows.rx = reassemble(&mut shards, &plan.rx_dom, |s| &mut s.store.rx);
@@ -518,16 +446,13 @@ pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
             acc.rcvd_pkts += c.rcvd_pkts;
             acc.rcvd_bytes += c.rcvd_bytes;
         }
-        debug_assert!(m.drop_buffer_util.is_empty(), "walk must drain drops");
     }
-    world.metrics.drop_buffer_util.append(&mut gdrop_buf);
-    world.metrics.drop_membw_util.append(&mut gdrop_membw);
     world.now = shards.iter().map(|s| s.store.now).fold(world.now, Ps::max);
     stats
 }
 
 /// Builds the split plan from the world's domain map.
-fn build_plan(world: &World, dm: &crate::topology::DomainMap) -> Plan {
+fn build_plan(world: &World, dm: DomainMap) -> Plan {
     let nd = dm.n_domains();
     let local = |doms: &[u32]| -> Vec<u32> {
         let mut next = vec![0u32; nd];
@@ -539,50 +464,35 @@ fn build_plan(world: &World, dm: &crate::topology::DomainMap) -> Plan {
             })
             .collect()
     };
-    let host_dom = dm.host_domain.clone();
-    let sw_dom = dm.switch_domain.clone();
     let flow_dom: Vec<u32> = world
         .flows
         .hot
         .iter()
-        .map(|f| host_dom[f.src as usize])
+        .map(|f| dm.host_domain[f.src as usize])
         .collect();
     let rx_dom: Vec<u32> = world
         .flows
         .hot
         .iter()
-        .map(|f| host_dom[f.dst as usize])
+        .map(|f| dm.host_domain[f.dst as usize])
         .collect();
-    let cbr_dom: Vec<u32> = world.cbrs.iter().map(|c| host_dom[c.host]).collect();
-    let fault_dom: Vec<u32> = world
-        .faults
-        .iter()
-        .map(|f| match f.kind {
-            FaultKind::LinkDown { switch, .. }
-            | FaultKind::LinkUp { switch, .. }
-            | FaultKind::SwitchDrainStart { switch }
-            | FaultKind::SwitchDrainEnd { switch } => sw_dom[switch as usize],
-            FaultKind::HostLeave { host } | FaultKind::HostJoin { host } => host_dom[host as usize],
-        })
-        .collect();
+    let cbr_dom: Vec<u32> = world.cbrs.iter().map(|c| dm.host_domain[c.host]).collect();
     let flow_loc = local(&flow_dom);
     let mut flow_gid = vec![Vec::new(); nd];
     for (f, &d) in flow_dom.iter().enumerate() {
         flow_gid[d as usize].push(f as FlowId);
     }
     Plan {
-        host_loc: local(&host_dom),
-        sw_loc: local(&sw_dom),
+        host_loc: local(&dm.host_domain),
+        sw_loc: local(&dm.switch_domain),
         flow_loc,
         rx_loc: local(&rx_dom),
         cbr_loc: local(&cbr_dom),
-        host_dom,
-        sw_dom,
         flow_dom,
         rx_dom,
         cbr_dom,
-        fault_dom,
         flow_gid,
+        dm,
     }
 }
 
@@ -609,23 +519,30 @@ fn reassemble<T>(
         .collect()
 }
 
-/// Executes one domain's events in the window `[.., hi]`, merging the
-/// main (concrete-key) and staged (pending-key) lanes in serial order:
-/// by time, main before staged on ties (assigned sequence numbers are
-/// always smaller than pending ones), staged by push index.
+/// One shard's part of a window: deliver the arrivals other domains
+/// posted for it, execute its events up to `hi`, post its own outgoing
+/// arrivals. Returns the earliest time this shard leaves pending, in
+/// its queue or in the mail it just posted.
 fn run_shard_window(
     shard: &mut Shard,
+    mail: &[Mutex<Vec<Mail>>],
     hi: Ps,
     cfg: &SimConfig,
     consts: &TransportConsts,
     faults: &[FaultSpec],
-) {
+) -> Option<Ps> {
     let Shard {
         store,
-        main,
         q,
-        exec_log,
+        drop_keys,
     } = shard;
+    let nd = q.out.len();
+    let d = q.dom as usize;
+    for src in 0..nd {
+        for (key, node, pkt) in mail[src * nd + d].lock().expect(POISONED).drain(..) {
+            q.events.arm_arrival(key, node, pkt);
+        }
+    }
     let mut ctx = Ctx {
         now: store.now,
         cfg,
@@ -640,124 +557,19 @@ fn run_shard_window(
         faults,
         metrics: &mut store.metrics,
     };
-    loop {
-        let mk = main.peek();
-        let sk = q.staged.peek().map(|s| s.0);
-        let (from_staged, key) = match (mk, sk) {
-            (None, None) => break,
-            (Some(m), None) => (false, m),
-            (None, Some(s)) => (true, s),
-            // Ties go to main: concrete < pending sequence numbers.
-            (Some(m), Some(s)) => {
-                if s.0 < m.0 {
-                    (true, s)
-                } else {
-                    (false, m)
-                }
-            }
-        };
-        if key.0 > hi {
-            break;
-        }
-        let ((at, k), ev) = if from_staged {
-            let Staged(k, ev) = q.staged.pop().unwrap();
-            (k, ev)
-        } else {
-            main.pop().unwrap()
-        };
-        let rec_key = if from_staged {
-            ExecKey::Pending(k)
-        } else {
-            ExecKey::Concrete(k)
-        };
-        let p0 = q.push_log.len();
+    while let Some((key, ev)) = q.events.pop_keyed(hi) {
         let d0 = ctx.metrics.drop_buffer_util.len();
-        execute_event(&mut ctx, q, at, ev);
-        exec_log.push(ExecRec {
-            at,
-            key: rec_key,
-            n_pushes: (q.push_log.len() - p0) as u32,
-            n_drops: (ctx.metrics.drop_buffer_util.len() - d0) as u32,
-        });
+        execute_event(&mut ctx, q, key.0, ev);
+        let n = ctx.metrics.drop_buffer_util.len() - d0;
+        drop_keys.extend(std::iter::repeat(key).take(n));
     }
     store.now = ctx.now;
-}
-
-/// The post-window serial walk: replays the serial interleaving over
-/// the domains' exec logs, assigning the global sequence counter to
-/// every push in serial order, routing cross-domain arrivals, and
-/// splicing exact-order drop-sample streams.
-fn walk(
-    shards: &[Mutex<Shard>],
-    plan: &Plan,
-    counter: &mut u64,
-    gdrop_buf: &mut Vec<f64>,
-    gdrop_membw: &mut Vec<f64>,
-    stats: &mut ParStats,
-) {
-    let mut g: Vec<_> = shards.iter().map(|m| m.lock().unwrap()).collect();
-    let nd = g.len();
-    let mut ec = vec![0usize; nd]; // exec_log cursor
-    let mut pc = vec![0usize; nd]; // push_log cursor
-    let mut dc = vec![0usize; nd]; // drop-sample cursor
-                                   // Sequence number assigned to each push of this window.
-    let mut sop: Vec<Vec<u64>> = g.iter().map(|s| vec![0u64; s.q.push_log.len()]).collect();
-    loop {
-        // Head with the global (time, seq) minimum. A Pending head's
-        // sequence is always resolved: its parent event sits earlier
-        // in the same log and has been consumed.
-        let mut best: Option<(Ps, u64, usize)> = None;
-        for d in 0..nd {
-            let Some(r) = g[d].exec_log.get(ec[d]) else {
-                continue;
-            };
-            let seq = match r.key {
-                ExecKey::Concrete(s) => s,
-                ExecKey::Pending(i) => sop[d][i as usize],
-            };
-            if best.map_or(true, |(bt, bs, _)| (r.at, seq) < (bt, bs)) {
-                best = Some((r.at, seq, d));
-            }
-        }
-        let Some((_, _, d)) = best else { break };
-        let rec = g[d].exec_log[ec[d]];
-        ec[d] += 1;
-        stats.domain_events[d] += 1;
-        for _ in 0..rec.n_pushes {
-            let idx = pc[d];
-            pc[d] += 1;
-            let seq = *counter;
-            *counter += 1;
-            sop[d][idx] = seq;
-            let push = g[d].q.push_log[idx];
-            if let PushKind::Cross { node, pkt } = push.kind {
-                let dst = plan.node_dom(node) as usize;
-                debug_assert_ne!(dst, d);
-                let id = g[dst].q.pool.insert(pkt);
-                g[dst]
-                    .main
-                    .arm((push.at, seq), Event::Arrive { node, pkt: id });
-            }
-        }
-        for _ in 0..rec.n_drops {
-            let m = &g[d].store.metrics;
-            gdrop_buf.push(m.drop_buffer_util[dc[d]]);
-            gdrop_membw.push(m.drop_membw_util[dc[d]]);
-            dc[d] += 1;
+    let mut earliest = q.events.peek_time();
+    for (dst, out) in q.out.iter_mut().enumerate() {
+        if let Some(t) = out.iter().map(|m| m.0 .0).min() {
+            earliest = Some(earliest.map_or(t, |e| e.min(t)));
+            mail[d * nd + dst].lock().expect(POISONED).append(out);
         }
     }
-    // Migrate leftover staged entries to the main wheel under their
-    // now-concrete keys, and reset the window logs.
-    for (d, sh) in g.iter_mut().enumerate() {
-        debug_assert_eq!(pc[d], sh.q.push_log.len(), "unconsumed pushes");
-        while let Some(Staged((at, idx), ev)) = sh.q.staged.pop() {
-            sh.main.arm((at, sop[d][idx as usize]), ev);
-        }
-        sh.q.push_log.clear();
-        sh.exec_log.clear();
-        let m = &mut sh.store.metrics;
-        debug_assert_eq!(dc[d], m.drop_buffer_util.len(), "unconsumed drops");
-        m.drop_buffer_util.clear();
-        m.drop_membw_util.clear();
-    }
+    earliest
 }

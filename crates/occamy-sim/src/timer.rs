@@ -13,7 +13,7 @@
 //! through a single next-deadline probe ([`TimerWheel::peek`]).
 //!
 //! **Ordering is exact, not approximate.** Every entry keeps its full
-//! `(time, seq)` queue key: slots only bucket entries, and whichever
+//! [`Key`]: slots only bucket entries, and whichever
 //! bucket the cursor drains next is sorted before it is served. Merged
 //! against the deferred lane by key, runs remain bit-for-bit identical
 //! to a heap-backed queue — pinned by the fire-order proptest in
@@ -30,8 +30,11 @@
 use crate::event::Event;
 use crate::time::Ps;
 
-/// Queue ordering key: `(time, global insertion sequence)` — the same
-/// key the event heap uses, so cross-lane ties break identically.
+/// Queue ordering key: `(time, origin << 48 | per-domain seq)`, the
+/// canonical tie-break of [`crate::event`] (origin domain first, then
+/// that domain's push order). Every lane and every domain's queue
+/// orders by the same key, so ties break identically everywhere; the
+/// wheel itself only compares keys.
 pub(crate) type Key = (Ps, u64);
 
 /// log2 of the level-0 slot width in picoseconds (≈ 4.1 ns).
@@ -42,6 +45,8 @@ const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Slot-index mask.
 const MASK: u64 = SLOTS as u64 - 1;
+/// Capacity (entries) an emptied slot above level 1 keeps.
+const PARKED_CAP: usize = 64;
 /// Wheel levels; total span is `2^(GRAN_BITS + LEVELS·SLOT_BITS)` ps.
 const LEVELS: usize = 6;
 
@@ -69,9 +74,6 @@ pub(crate) struct TimerWheel {
     /// is non-empty. Advancing finds the next occupied slot with one
     /// mask-and-`trailing_zeros` per level instead of a 64-slot scan.
     occ: [u64; LEVELS],
-    /// Cascade scratch buffer (swapped with slots so buffer capacities
-    /// circulate instead of being reallocated).
-    scratch: Vec<(Key, Event)>,
 }
 
 impl Default for TimerWheel {
@@ -86,7 +88,6 @@ impl Default for TimerWheel {
             overflow_dirty: false,
             in_slots: 0,
             occ: [0; LEVELS],
-            scratch: Vec::new(),
         }
     }
 }
@@ -205,9 +206,12 @@ impl TimerWheel {
             // `ready`), so this never moves the cursor backwards.
             let epoch = self.cursor & !(((1u64 << SLOT_BITS) << shift) - 1);
             self.cursor = self.cursor.max(epoch + ((j as u64) << shift));
+            // Entries move out of the slot, never its buffer: swapping
+            // buffers between slots would let one large cascade, such
+            // as a slot full of RTO timers, leave a buffer of its size
+            // in every slot it passes through.
             if l == 0 {
-                // Recycle the ready buffer's allocation into the slot.
-                std::mem::swap(&mut self.ready, &mut self.levels[0][j]);
+                self.ready.append(&mut self.levels[0][j]);
                 self.occ[0] &= !(1 << j);
                 self.in_slots -= self.ready.len();
                 if self.ready.len() > 1 {
@@ -216,13 +220,11 @@ impl TimerWheel {
                 return;
             }
             // Cascade the slot's entries toward level 0 and rescan.
-            // Swapping through the scratch buffer keeps slot capacities
-            // circulating instead of reallocating on every cascade.
-            std::mem::swap(&mut self.scratch, &mut self.levels[l][j]);
+            let (lower, upper) = self.levels.split_at_mut(l);
+            let src = &mut upper[0][j];
             self.occ[l] &= !(1 << j);
-            self.in_slots -= self.scratch.len();
-            let mut scratch = std::mem::take(&mut self.scratch);
-            for (key, event) in scratch.drain(..) {
+            self.in_slots -= src.len();
+            for (key, event) in src.drain(..) {
                 let tick = key.0 >> GRAN_BITS;
                 debug_assert!(tick >= self.cursor);
                 if tick == self.cursor {
@@ -234,11 +236,16 @@ impl TimerWheel {
                 let lv = level_of(tick ^ self.cursor);
                 debug_assert!(lv < l, "cascade must descend");
                 let slot = ((tick >> (SLOT_BITS * lv as u32)) & MASK) as usize;
-                self.levels[lv][slot].push((key, event));
+                lower[lv][slot].push((key, event));
                 self.occ[lv] |= 1 << slot;
                 self.in_slots += 1;
             }
-            self.scratch = scratch;
+            // Slots above level 1 fill in bursts and drain at most once
+            // per 16.7 µs: release a burst's buffer rather than keep
+            // every such slot at its peak for the rest of the run.
+            if l >= 2 {
+                src.shrink_to(PARKED_CAP);
+            }
             if !self.ready.is_empty() {
                 return;
             }
@@ -356,6 +363,24 @@ mod tests {
         popped.extend(drain(&mut w));
         pending.sort_unstable();
         assert_eq!(popped, pending);
+    }
+
+    #[test]
+    fn drained_upper_slots_release_their_buffers() {
+        // Steady state of a transport run: 2 000 timers, each re-armed
+        // 3 ms past the clock whenever it fires, then a full drain.
+        let mut w = TimerWheel::default();
+        let n = 2_000u64;
+        for i in 0..n {
+            w.arm((3 * MS + i * 1_499, i), ev(0));
+        }
+        for seq in n..n + 200_000 {
+            let ((now, _), _) = w.pop().expect("timers re-arm forever");
+            w.arm((now + 3 * MS + seq % 7_919, seq), ev(0));
+        }
+        drain(&mut w);
+        let kept = w.levels[2..].iter().flatten().map(Vec::capacity).max();
+        assert!(kept <= Some(PARKED_CAP), "an empty slot kept {kept:?}");
     }
 
     #[test]

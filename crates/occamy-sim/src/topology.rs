@@ -4,9 +4,12 @@
 //! Every fabric builder also exports a [`DomainMap`]: a partition of
 //! the fabric into *event domains* (pods, or leaf/spine groups) that
 //! the deterministic parallel executor uses for domain-decomposed
-//! runs (`SimConfig::threads > 1`). Serial runs ignore it.
+//! runs (`SimConfig::threads > 1`). Serial runs use it too: an event's
+//! domain is the origin in its pushes' tie-break keys (see
+//! [`crate::event`]).
 
 use crate::event::NodeId;
+use crate::faults::FaultKind;
 use crate::host::{Host, HostLink};
 use crate::routing::RoutingTable;
 use crate::scheduler::Scheduler;
@@ -88,6 +91,30 @@ impl DomainMap {
     /// Number of domains.
     pub fn n_domains(&self) -> usize {
         self.n_domains
+    }
+
+    /// Domain of a host or switch.
+    #[inline]
+    pub(crate) fn node_domain(&self, n: NodeId) -> u32 {
+        match n {
+            NodeId::Host(h) => self.host_domain[h as usize],
+            NodeId::Switch(s) => self.switch_domain[s as usize],
+        }
+    }
+
+    /// Domain owning the state a fault mutates: the switch's for link
+    /// and drain faults, the host's for churn (which also touches the
+    /// host's flows, whose sender halves live in the same domain).
+    pub(crate) fn fault_domain(&self, kind: &FaultKind) -> u32 {
+        match *kind {
+            FaultKind::LinkDown { switch, .. }
+            | FaultKind::LinkUp { switch, .. }
+            | FaultKind::SwitchDrainStart { switch }
+            | FaultKind::SwitchDrainEnd { switch } => self.switch_domain[switch as usize],
+            FaultKind::HostLeave { host } | FaultKind::HostJoin { host } => {
+                self.host_domain[host as usize]
+            }
+        }
     }
 }
 

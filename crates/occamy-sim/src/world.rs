@@ -287,52 +287,21 @@ impl World {
 
     /// Executes one event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.events.pop() else {
+        let Some(t) = self.events.peek_time() else {
             return false;
         };
-        self.execute(t, ev);
+        self.run_serial(t, 1);
         true
     }
 
-    #[inline]
-    fn execute(&mut self, t: Ps, ev: Event) {
-        let World {
-            now,
-            events,
-            cfg,
-            consts,
-            hosts,
-            switches,
-            flows,
-            cbrs,
-            samplers,
-            faults,
-            metrics,
-            ..
-        } = self;
-        let mut ctx = engine::Ctx {
-            now: *now,
-            cfg,
-            consts,
-            hosts,
-            switches,
-            hot: flows.hot.as_mut_slice(),
-            cold: flows.cold.as_mut_slice(),
-            rx: flows.rx.as_mut_slice(),
-            cbrs,
-            samplers,
-            faults,
-            metrics,
-        };
-        engine::execute_event(&mut ctx, events, t, ev);
-        *now = ctx.now;
-    }
-
-    /// Serial event loop: drains events with timestamp `<= limit`.
+    /// Serial event loop: executes at most `max_events` events with
+    /// timestamp `<= limit`.
     /// The [`engine::Ctx`] is built once and reused across the whole
     /// loop so the per-event cost is identical to the pre-split
-    /// monolithic dispatch.
-    fn run_serial(&mut self, limit: Ps) {
+    /// monolithic dispatch. A multi-domain world pays one extra table
+    /// lookup per event: the executing event's domain becomes the origin
+    /// of its pushes' keys, exactly as in a parallel run.
+    fn run_serial(&mut self, limit: Ps, max_events: u64) {
         let World {
             now,
             events,
@@ -345,6 +314,7 @@ impl World {
             samplers,
             faults,
             metrics,
+            domains,
             ..
         } = self;
         let mut ctx = engine::Ctx {
@@ -361,11 +331,22 @@ impl World {
             faults,
             metrics,
         };
+        let dm = domains.as_ref().filter(|d| d.n_domains() > 1);
+        let stop = ctx.metrics.events_processed.saturating_add(max_events);
+        let exec = |ctx: &mut engine::Ctx<'_>, events: &mut EventQueue, at, ev| {
+            if let Some(dm) = dm {
+                events.set_origin(engine::event_domain(dm, ctx.hot, ctx.cbrs, ctx.faults, &ev));
+            }
+            engine::execute_event(ctx, events, at, ev);
+            ctx.metrics.events_processed < stop
+        };
         match std::num::NonZeroU64::new(crate::telemetry::cadence()) {
-            // Telemetry off: the pre-telemetry loop, byte for byte.
+            // Telemetry off: the pre-telemetry loop.
             None => {
                 while let Some((at, ev)) = events.pop_at_most(limit) {
-                    engine::execute_event(&mut ctx, events, at, ev);
+                    if !exec(&mut ctx, events, at, ev) {
+                        break;
+                    }
                 }
             }
             // Same loop plus a counter check per event; snapshots are
@@ -374,7 +355,7 @@ impl World {
                 let step = cadence.get();
                 let mut next = (ctx.metrics.events_processed / cadence + 1) * step;
                 while let Some((at, ev)) = events.pop_at_most(limit) {
-                    engine::execute_event(&mut ctx, events, at, ev);
+                    let more = exec(&mut ctx, events, at, ev);
                     if ctx.metrics.events_processed >= next {
                         crate::telemetry::emit_snapshot_serial(
                             &*ctx.switches,
@@ -384,10 +365,15 @@ impl World {
                         );
                         next = (ctx.metrics.events_processed / cadence + 1) * step;
                     }
+                    if !more {
+                        break;
+                    }
                 }
             }
         }
         *now = ctx.now;
+        // Pushes outside the loop are setup pushes: domain 0.
+        events.set_origin(0);
     }
 
     /// Runs until simulated time `t` (events at exactly `t` included).
@@ -396,7 +382,7 @@ impl World {
             let stats = crate::par::run_parallel(self, t);
             self.par_stats = Some(stats);
         } else {
-            self.run_serial(t);
+            self.run_serial(t, u64::MAX);
         }
         self.now = self.now.max(t);
     }
@@ -407,13 +393,13 @@ impl World {
             let stats = crate::par::run_parallel(self, limit);
             self.par_stats = Some(stats);
         } else {
-            self.run_serial(limit);
+            self.run_serial(limit, u64::MAX);
         }
     }
 
     /// Whether this run takes the domain-decomposed parallel path.
-    /// `threads <= 1` always takes the serial path (bit-for-bit the
-    /// pre-parallelism loop); samplers force serial (global cadence);
+    /// `threads <= 1` always takes the serial path (same keys, same
+    /// bytes); samplers force serial (global cadence);
     /// a single domain or zero lookahead has nothing to parallelize.
     fn parallel_engaged(&self) -> bool {
         self.cfg.threads > 1

@@ -2,12 +2,15 @@
 //! (`topology::DomainMap`) that the parallel executor's correctness
 //! rests on: total coverage (every component in exactly one domain),
 //! sound lookahead (every cross-domain link's propagation delay is at
-//! least `lookahead_ps`, and nonzero whenever two domains exist), and
-//! the guarantee that `threads = 1` takes the serial path bit-for-bit.
+//! least `lookahead_ps`, and nonzero whenever two domains exist) — and
+//! the ordering contract built on it: a one-domain map orders events
+//! exactly like no map, and on a multi-domain fabric the serial engine
+//! equals the parallel one for any thread count.
 
 use occamy_core::BmKind;
 use occamy_sim::topology::{
-    fat_tree, leaf_spine, three_tier, BmSpec, FatTreeCfg, LeafSpineCfg, SchedKind, ThreeTierCfg,
+    fat_tree, leaf_spine, three_tier, BmSpec, DomainMap, FatTreeCfg, LeafSpineCfg, SchedKind,
+    ThreeTierCfg,
 };
 use occamy_sim::{CcAlgo, FlowDesc, NodeId, SimConfig, World, MS, US};
 use proptest::prelude::*;
@@ -90,6 +93,65 @@ fn inject_permutation(w: &mut World, n_hosts: usize) {
     }
 }
 
+/// A k = `2 * half` fat-tree running the permutation workload plus a
+/// synchronized incast into host 0 (equal-time pushes from several
+/// domains, and drops). `seed_shift` extra flows perturb it per case so
+/// the properties are not about one fixed trajectory.
+fn build_fat_tree(half: usize, seed_shift: usize, threads: usize) -> World {
+    let mut sim = SimConfig::large_scale();
+    sim.threads = threads;
+    let mut w = fat_tree(FatTreeCfg {
+        k: 2 * half,
+        host_rate_bps: 25_000_000_000,
+        fabric_rate_bps: 25_000_000_000,
+        link_prop_ps: 10 * US,
+        buffer_per_8ports_bytes: 100_000,
+        classes: 1,
+        bm: bm(),
+        sched: SchedKind::Fifo,
+        sim,
+    });
+    let n = w.hosts.len();
+    inject_permutation(&mut w, n);
+    for src in 1..n {
+        w.add_flow(FlowDesc {
+            src,
+            dst: 0,
+            bytes: 60_000,
+            start_ps: 20 * US,
+            prio: 0,
+            cc: CcAlgo::Dctcp,
+            query: Some(1),
+            is_query: true,
+        });
+    }
+    for _ in 0..seed_shift {
+        w.add_flow(FlowDesc {
+            src: 0,
+            dst: n - 1,
+            bytes: 9_000,
+            start_ps: 3 * US,
+            prio: 0,
+            cc: CcAlgo::Dctcp,
+            query: None,
+            is_query: false,
+        });
+    }
+    w
+}
+
+/// Every piece of observable end state, formatted for exact equality.
+fn snapshot(w: &World) -> String {
+    let mut s = format!("now={} {:?}\n", w.now, w.metrics);
+    for r in w.flow_records().records() {
+        s.push_str(&format!(
+            "flow {} start={} end={:?} bytes={}\n",
+            r.id, r.start_ps, r.end_ps, r.bytes
+        ));
+    }
+    s
+}
+
 proptest! {
     #[test]
     fn leaf_spine_domains_are_sound(
@@ -156,63 +218,43 @@ proptest! {
         check_domain_invariants(&w);
     }
 
-    /// `threads = 1` must take the serial path (never the parallel
-    /// executor) and produce exactly what a domain-less world produces:
-    /// the partition's existence alone cannot perturb a serial run.
+    /// A one-domain map is no map: every push comes from domain 0, so
+    /// keys, and with them every output byte, equal a domain-less run.
     #[test]
-    fn threads_one_is_the_serial_path(half in 1usize..3, seed_shift in 0usize..3) {
-        let build = |threads: usize, strip_domains: bool| {
-            let mut sim = SimConfig::large_scale();
-            sim.threads = threads;
-            let mut w = fat_tree(FatTreeCfg {
-                k: 2 * half,
-                host_rate_bps: 25_000_000_000,
-                fabric_rate_bps: 25_000_000_000,
-                link_prop_ps: 10 * US,
-                buffer_per_8ports_bytes: 500_000,
-                classes: 1,
-                bm: bm(),
-                sched: SchedKind::Fifo,
-                sim,
-            });
-            if strip_domains {
-                w.domains = None;
-            }
-            let n = w.hosts.len();
-            inject_permutation(&mut w, n);
-            // Perturb the workload a little per case so the property is
-            // not about one fixed trajectory.
-            for _ in 0..seed_shift {
-                w.add_flow(FlowDesc {
-                    src: 0,
-                    dst: n - 1,
-                    bytes: 9_000,
-                    start_ps: 3 * US,
-                    prio: 0,
-                    cc: CcAlgo::Dctcp,
-                    query: None,
-                    is_query: false,
-                });
-            }
-            w.run_to_completion(50 * MS);
-            w
-        };
-        let with_domains = build(1, false);
-        let without = build(1, true);
-        prop_assert!(with_domains.par_stats.is_none(), "threads=1 engaged the parallel path");
-        prop_assert_eq!(with_domains.now, without.now);
-        prop_assert_eq!(
-            with_domains.metrics.events_processed,
-            without.metrics.events_processed
+    fn one_domain_map_is_no_map(half in 1usize..3, seed_shift in 0usize..3) {
+        let mut one = build_fat_tree(half, seed_shift, 1);
+        let dm = DomainMap::new(
+            vec![0; one.hosts.len()],
+            vec![0; one.switches.len()],
+            &one.hosts,
+            &one.switches,
         );
-        prop_assert_eq!(
-            with_domains.metrics.delivered_bytes,
-            without.metrics.delivered_bytes
-        );
-        prop_assert_eq!(
-            &with_domains.metrics.drop_buffer_util,
-            &without.metrics.drop_buffer_util
-        );
-        prop_assert!(with_domains.all_flows_done());
+        one.domains = Some(dm);
+        let mut none = build_fat_tree(half, seed_shift, 1);
+        none.domains = None;
+        one.run_to_completion(50 * MS);
+        none.run_to_completion(50 * MS);
+        prop_assert!(one.par_stats.is_none() && none.par_stats.is_none());
+        prop_assert_eq!(snapshot(&one), snapshot(&none));
+        prop_assert!(one.all_flows_done());
+    }
+
+    /// On the multi-domain fabric, serial and `threads` 2 and 4 execute
+    /// the same keys in the same order: identical end state.
+    #[test]
+    fn serial_matches_threads_on_multi_domain_fabric(
+        half in 1usize..3,
+        seed_shift in 0usize..3,
+    ) {
+        let mut serial = build_fat_tree(half, seed_shift, 1);
+        serial.run_to_completion(50 * MS);
+        prop_assert!(serial.par_stats.is_none(), "threads=1 engaged the parallel path");
+        let want = snapshot(&serial);
+        for threads in [2, 4] {
+            let mut par = build_fat_tree(half, seed_shift, threads);
+            par.run_to_completion(50 * MS);
+            prop_assert!(par.par_stats.is_some(), "threads={} stayed serial", threads);
+            prop_assert_eq!(snapshot(&par), want.clone());
+        }
     }
 }

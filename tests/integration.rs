@@ -5,9 +5,10 @@
 use occamy::core::{BmKind, BufferManager, Occamy, QueueConfig, Verdict};
 use occamy::hw::TrafficManager;
 use occamy::sim::topology::{
-    leaf_spine, single_switch, BmSpec, LeafSpineCfg, SchedKind, SingleSwitchCfg,
+    fat_tree, leaf_spine, single_switch, BmSpec, FatTreeCfg, LeafSpineCfg, SchedKind,
+    SingleSwitchCfg,
 };
-use occamy::sim::{CcAlgo, FlowDesc, SimConfig, MS, SEC, US};
+use occamy::sim::{CcAlgo, FlowDesc, SimConfig, World, MS, SEC, US};
 use occamy::stats::FlowClass;
 use occamy::traffic::{web_search, BackgroundWorkload, QueryWorkload, TrafficClass};
 use rand::rngs::StdRng;
@@ -298,4 +299,86 @@ fn flow_records_classify_by_workload() {
         .count();
     assert_eq!((bg, qq), (1, 1));
     assert_eq!(records.qcts().len(), 1);
+}
+
+/// A k=4 fat-tree (16 hosts, 8 event domains) with a small buffer
+/// under a shifted permutation plus a 7:1 incast into host 0, so
+/// switches drop packets and log drop samples.
+fn small_buffer_fat_tree(threads: usize) -> World {
+    let mut w = fat_tree(FatTreeCfg {
+        k: 4,
+        host_rate_bps: 10_000_000_000,
+        fabric_rate_bps: 10_000_000_000,
+        link_prop_ps: US,
+        buffer_per_8ports_bytes: 100_000,
+        classes: 1,
+        bm: BmSpec::per_class(BmKind::Occamy, vec![8.0]),
+        sched: SchedKind::Fifo,
+        sim: SimConfig {
+            threads,
+            ..SimConfig::default()
+        },
+    });
+    for src in 0..16 {
+        w.add_flow(FlowDesc {
+            src,
+            dst: (src + 5) % 16,
+            bytes: 120_000,
+            start_ps: src as u64 * 2 * US,
+            prio: 0,
+            cc: CcAlgo::Dctcp,
+            query: None,
+            is_query: false,
+        });
+    }
+    for src in 9..16 {
+        w.add_flow(FlowDesc {
+            src,
+            dst: 0,
+            bytes: 40_000,
+            start_ps: 20 * US,
+            prio: 0,
+            cc: CcAlgo::Dctcp,
+            query: Some(1),
+            is_query: true,
+        });
+    }
+    w
+}
+
+/// Full metrics (drop samples in order included) and flow records.
+fn end_state(w: &World) -> String {
+    format!(
+        "now={} {:?}\n{:?}",
+        w.now,
+        w.metrics,
+        w.flow_records().records()
+    )
+}
+
+#[test]
+fn serial_matches_two_threads_on_dropping_fat_tree() {
+    let mut serial = small_buffer_fat_tree(1);
+    serial.run_to_completion(SEC);
+    assert!(serial.par_stats.is_none(), "threads=1 must stay serial");
+    assert!(serial.all_flows_done());
+    assert!(
+        !serial.metrics.drop_buffer_util.is_empty(),
+        "workload must drop packets to exercise drop-sample order"
+    );
+
+    let mut par = small_buffer_fat_tree(2);
+    par.run_to_completion(SEC);
+    assert!(par.par_stats.as_ref().is_some_and(|s| s.windows > 0));
+    assert_eq!(end_state(&par), end_state(&serial));
+
+    // Every stop at an odd time splits and merges the per-domain push
+    // counters; a counter lost at a merge would reuse keys of events
+    // still pending, reordering equal-time ties after the resume.
+    let mut resumed = small_buffer_fat_tree(2);
+    for i in 1..60u64 {
+        resumed.run_until(i * 7 * US + 123);
+    }
+    resumed.run_to_completion(SEC);
+    assert_eq!(end_state(&resumed), end_state(&serial));
 }
