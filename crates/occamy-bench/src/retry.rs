@@ -1,8 +1,9 @@
-//! Capped-exponential-backoff retry, shared by every writer whose
-//! failure would throw away simulated work: `shard run`'s partial and
-//! journal writes retry transient I/O errors in-process, and the fleet
-//! coordinator ([`crate::fleet`]) schedules worker re-dispatch with the
-//! same delay curve.
+//! The capped-exponential-backoff delay curve on which the fleet
+//! coordinator ([`crate::fleet`]) re-dispatches failed workers.
+//! Retrying is the fleet's job alone: a worker whose journal append
+//! fails exits nonzero, and its `--resume` re-dispatch recomputes only
+//! the cells the journal lacks. An in-process retry after a partly
+//! written append would leave a duplicated or glued journal line.
 
 use std::time::Duration;
 
@@ -14,45 +15,6 @@ pub fn backoff_delay(attempt: u32, base: Duration, cap: Duration) -> Duration {
     }
     let factor = 1u32 << (attempt - 1).min(20);
     base.checked_mul(factor).unwrap_or(cap).min(cap)
-}
-
-/// Runs `op` up to `attempts` times, sleeping [`backoff_delay`] between
-/// tries and warning to stderr on each failure — `what` names the
-/// artifact (and the work at stake) so an operator reading the log
-/// knows what a persistent failure loses. Returns the first success, or
-/// an error naming both the first and last failures.
-pub fn retry_with_backoff<T, E: std::fmt::Display>(
-    what: &str,
-    attempts: u32,
-    base: Duration,
-    cap: Duration,
-    mut op: impl FnMut() -> Result<T, E>,
-) -> Result<T, String> {
-    assert!(attempts >= 1, "retry_with_backoff needs at least one try");
-    let mut first_err: Option<String> = None;
-    for attempt in 0..attempts {
-        std::thread::sleep(backoff_delay(attempt, base, cap));
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                let e = e.to_string();
-                if attempt + 1 < attempts {
-                    eprintln!(
-                        "warning: {what} failed ({e}); retry {} of {} in {:?}",
-                        attempt + 1,
-                        attempts - 1,
-                        backoff_delay(attempt + 1, base, cap)
-                    );
-                }
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    // `op` ran at least once, so a fall-through means every try failed.
-    Err(format!(
-        "{what} failed after {attempts} attempts (first error: {})",
-        first_err.expect("at least one attempt ran")
-    ))
 }
 
 #[cfg(test)]
@@ -69,41 +31,5 @@ mod tests {
         assert_eq!(backoff_delay(3, base, cap), Duration::from_millis(2000));
         assert_eq!(backoff_delay(10, base, cap), cap);
         assert_eq!(backoff_delay(u32::MAX, base, cap), cap, "shift is clamped");
-    }
-
-    #[test]
-    fn succeeds_after_transient_failures() {
-        let mut calls = 0;
-        let out = retry_with_backoff(
-            "test write",
-            3,
-            Duration::ZERO,
-            Duration::ZERO,
-            || -> Result<u32, String> {
-                calls += 1;
-                if calls < 3 {
-                    Err("transient".to_string())
-                } else {
-                    Ok(7)
-                }
-            },
-        );
-        assert_eq!(out, Ok(7));
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn exhaustion_reports_first_error_and_attempts() {
-        let e = retry_with_backoff(
-            "journal append",
-            2,
-            Duration::ZERO,
-            Duration::ZERO,
-            || -> Result<(), String> { Err("disk full".to_string()) },
-        )
-        .unwrap_err();
-        assert!(e.contains("journal append"), "{e}");
-        assert!(e.contains("2 attempts"), "{e}");
-        assert!(e.contains("disk full"), "{e}");
     }
 }

@@ -295,9 +295,9 @@ pub fn run_cells(
 
 /// [`run_cells`] with a completion callback, invoked (possibly from
 /// worker threads — it must be `Sync`) right after each cell finishes,
-/// with the cell's full outcome. `shard run` uses it to keep its
-/// heartbeat file current and to journal the outcome, so a stalled or
-/// killed shard is detectable — and resumable — from the outside.
+/// with the cell's full outcome. `shard run` uses it to append the
+/// outcome to its journal, whose growth shows a shard is alive and
+/// whose lines let a killed shard resume.
 ///
 /// Perf fields are frozen *before* the callback fires (not only in the
 /// final batch pass), so anything the callback persists — the resume
@@ -341,7 +341,7 @@ pub fn assemble(scenario: &'static dyn Scenario, mut outcomes: Vec<CellOutcome>)
 /// every downstream artifact — `BENCH_<name>.json`, `results/*_perf.csv`
 /// — is byte-reproducible and a merged distributed run can be `cmp`-ed
 /// against a direct run.
-fn freeze_walls(outcomes: &mut [CellOutcome]) {
+pub(crate) fn freeze_walls(outcomes: &mut [CellOutcome]) {
     if crate::freeze_perf() {
         for o in outcomes {
             o.wall = Duration::ZERO;

@@ -5,7 +5,7 @@
 //! (`specs/paper_fabric_128h.toml`) are far too slow for one machine,
 //! but grid cells are independent, `Send`-safe and seed-deterministic —
 //! so a grid can be split into shards, each shard executed anywhere,
-//! and the partial results reassembled into the **exact** report a
+//! and the shards' results reassembled into the **exact** report a
 //! single-machine run would have produced:
 //!
 //! 1. [`plan`] splits a scenario's grid into `N` shard files
@@ -16,21 +16,20 @@
 //!    the spec document itself, so the executing machine needs nothing
 //!    but the plan file and the binary.
 //! 2. [`run_shard`] executes one plan file with the same parallel
-//!    runner a direct `run` uses ([`crate::runner::run_cells`]) and
-//!    writes a partial-result file (`….result.json`). Along the way it
-//!    journals every finished cell to an append-only per-shard journal
-//!    (`….cells.jsonl`, rewritten via temp-file + rename so a kill at
-//!    any instant never leaves a torn line); with `--resume` a
-//!    restarted run validates the journal and recomputes only the
-//!    cells not yet journaled.
-//! 3. [`merge`] validates and reunites the partials — every shard
+//!    runner a direct `run` uses ([`crate::runner::run_cells_with`]) and
+//!    appends every finished cell to the shard's journal
+//!    (`<plan>.cells.jsonl`), its only output. Each append is one
+//!    `write_all` of a whole line on an append-mode file; a final line
+//!    without its `\n` (the writer died mid-append) counts as not yet
+//!    journaled. With `--resume` a restarted run validates the journal,
+//!    cuts off any such torn tail and recomputes only the cells it
+//!    lacks.
+//! 3. [`merge`] validates and reunites the journals — every shard
 //!    present exactly once, every grid cell covered exactly once, no
 //!    version or header drift — and feeds them through the same
 //!    assembly path as a direct run ([`crate::runner::assemble`] +
 //!    [`render_into`]), emitting the byte-identical `BENCH_<name>.json`
-//!    and `results/*.csv`. Journals are accepted in place of
-//!    monolithic partials: `shard merge shards/*.cells.jsonl` applies
-//!    the same exactly-once coverage validation to them.
+//!    and `results/*.csv`.
 //!
 //! Byte-identity is enforced by `tests/shard_equivalence.rs` and the CI
 //! `shard-equivalence` job, which `cmp` a merged 3-shard fig12 run
@@ -38,28 +37,23 @@
 //! platform-dependent output; both sides run under
 //! [`crate::freeze_perf`] (`--freeze-perf`), which zeroes them.
 //!
-//! Every failure mode names the offending shard file: truncated or
-//! tampered JSON, format-version mismatches, header drift between
-//! partials, missing or duplicated shards, and missing or duplicated
+//! Every failure mode names the offending shard file: unparseable or
+//! tampered lines, format-version mismatches, header drift between
+//! journals, missing or duplicated shards, and missing or duplicated
 //! grid cells all produce errors, never panics or silently dropped
 //! cells.
 
 use crate::registry::{find_scenario, registry};
-use crate::retry::retry_with_backoff;
 use crate::runner;
 use crate::scenario::{CellOutcome, CellResult, CellSpec, Scale, Scenario, Series, Value};
 use crate::spec_scenario::SpecScenario;
 use occamy_stats::Json;
 use std::collections::HashSet;
+use std::fs::File;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Duration;
-
-/// Attempts and backoff for result-artifact writes (partials and
-/// journal appends): a transient I/O failure would throw away simulated
-/// work, so writes retry a few times before giving up.
-const WRITE_ATTEMPTS: u32 = 3;
-const WRITE_BACKOFF_BASE: Duration = Duration::from_millis(100);
-const WRITE_BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// Format version stamped into every shard file. Bump it when the file
 /// layout changes; [`run_shard`] and [`merge`] refuse files from other
@@ -264,7 +258,7 @@ fn decode_outcome(ctx: &str, j: &Json, scale: Scale) -> Result<CellOutcome, Stri
     for s in j.get("series").and_then(Json::as_arr).unwrap_or(&[]) {
         result = result.with_series(decode_series(&ctx, s)?);
     }
-    // Tolerant: partials written before the field existed decode as 0.
+    // Tolerant: lines written before the field existed decode as 0.
     let rss = j.get("peak_rss_bytes").and_then(Json::as_u64).unwrap_or(0);
     Ok(CellOutcome {
         spec,
@@ -322,8 +316,7 @@ fn decode_series(ctx: &str, j: &Json) -> Result<Series, String> {
 // File headers
 // -------------------------------------------------------------------
 
-/// The parsed, version-checked header shared by plan, partial and
-/// journal files.
+/// The parsed, version-checked header shared by plan and journal files.
 pub(crate) struct ShardFile {
     pub(crate) path: PathBuf,
     pub(crate) scenario: String,
@@ -371,8 +364,7 @@ fn header_json(
 
 /// Reads and validates a shard file's envelope: parseable JSON (a
 /// truncated upload fails here, naming the file), the supported format
-/// version, the expected kind (`plan` / `partial`) and a complete,
-/// well-typed header.
+/// version, the expected kind and a complete, well-typed header.
 pub(crate) fn read_shard_file(path: &Path, expect_kind: &str) -> Result<ShardFile, String> {
     let ctx = format!("shard file {}", path.display());
     let text = std::fs::read_to_string(path).map_err(|e| format!("{ctx}: {e}"))?;
@@ -554,72 +546,15 @@ pub fn plan(
 }
 
 // -------------------------------------------------------------------
-// run
+// The journal
 // -------------------------------------------------------------------
 
-/// The default partial-result path for a plan file:
-/// `<plan stem>.result.json` next to it.
-pub fn default_partial_path(plan_path: &Path) -> PathBuf {
-    let s = plan_path.to_string_lossy();
-    match s.strip_suffix(".json") {
-        Some(stem) => PathBuf::from(format!("{stem}.result.json")),
-        None => PathBuf::from(format!("{s}.result.json")),
-    }
-}
-
-/// The heartbeat path for a plan file: `<plan stem>.heartbeat.json`
-/// next to it. `shard run` rewrites this small file as each cell
-/// completes; an operator (or `shard merge`, which checks it against
-/// the plan) can tell a stalled shard from a slow one by its mtime and
-/// `cells_done` count.
-pub fn heartbeat_path(plan_path: &Path) -> PathBuf {
-    let s = plan_path.to_string_lossy();
-    match s.strip_suffix(".json") {
-        Some(stem) => PathBuf::from(format!("{stem}.heartbeat.json")),
-        None => PathBuf::from(format!("{s}.heartbeat.json")),
-    }
-}
-
-/// Writes (overwrites) a shard heartbeat. Heartbeats are operational
-/// metadata, not result artifacts — they live next to the plan, never
-/// under `results/`, and carry a real wall-clock timestamp even under
-/// `--freeze-perf`. Failures are ignored: a heartbeat must never fail
-/// a run.
-fn write_heartbeat(
-    path: &Path,
-    file: &ShardFile,
-    planned: usize,
-    done: usize,
-    last_cell: Option<usize>,
-) {
-    let now_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    let _ = Json::obj([
-        ("format", Json::from(SHARD_FORMAT)),
-        ("kind", Json::from("heartbeat")),
-        ("scenario", Json::from(file.scenario.as_str())),
-        ("shard", Json::from(file.shard)),
-        ("shards", Json::from(file.shards)),
-        ("cells_planned", Json::from(planned)),
-        ("cells_done", Json::from(done)),
-        ("last_cell", last_cell.map_or(Json::Null, Json::from)),
-        ("last_event_unix_ms", Json::from(now_ms)),
-    ])
-    .write_to(path);
-}
-
-// -------------------------------------------------------------------
-// The resume journal
-// -------------------------------------------------------------------
-
-/// The per-shard resume journal for a plan file:
-/// `<plan stem>.cells.jsonl` next to it. Line 1 is the shard header
-/// (kind `journal`); every further line is one finished cell's encoded
-/// outcome. `shard run` appends as cells complete; `shard run --resume`
-/// replays the journal and recomputes only the cells it lacks; `shard
-/// merge` accepts journals in place of partial-result files.
+/// The per-shard journal for a plan file: `<plan stem>.cells.jsonl`
+/// next to it, and the only file `shard run` writes. Line 1 is the
+/// shard header (kind `journal`); every further line is one finished
+/// cell's encoded outcome. `shard run` appends as cells complete;
+/// `shard run --resume` replays the journal and recomputes only the
+/// cells it lacks; `shard merge` reunites the journals of all shards.
 pub fn journal_path(plan_path: &Path) -> PathBuf {
     let s = plan_path.to_string_lossy();
     match s.strip_suffix(".json") {
@@ -634,75 +569,111 @@ fn is_journal_path(path: &Path) -> bool {
         .is_some_and(|n| n.ends_with(".cells.jsonl"))
 }
 
-/// Crash-safe append-only journal writer. The full journal text is held
-/// in memory; every append rewrites a sibling temp file and renames it
-/// over the journal, so a SIGKILL at any instant leaves either the
-/// previous complete journal or the new complete journal on disk —
-/// never a half-written last line. (Journals are small — one line per
-/// grid cell — so the rewrite cost is noise next to simulating a cell.)
+/// The journal a non-journal merge input most likely stands for: the
+/// same `<scenario>.shard-<i>` stem with the journal suffix.
+fn expected_journal(path: &Path) -> PathBuf {
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default();
+    let stem = match name.find(".shard-") {
+        Some(at) => {
+            let id = at + ".shard-".len();
+            let digits = name[id..].bytes().take_while(u8::is_ascii_digit).count();
+            &name[..id + digits]
+        }
+        None => name.split('.').next().unwrap_or_default(),
+    };
+    path.with_file_name(format!("{stem}.cells.jsonl"))
+}
+
+/// Cells a shard has journaled so far: the complete lines of its
+/// journal minus the header, 0 while there is no journal. The fleet's
+/// progress count and liveness signal.
+pub fn journaled_cells(plan_path: &Path) -> usize {
+    std::fs::read(journal_path(plan_path))
+        .map(|bytes| {
+            bytes
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count()
+                .saturating_sub(1)
+        })
+        .unwrap_or(0)
+}
+
+/// Append-only journal writer. Each line goes to an append-mode file in
+/// one `write_all` that includes its `\n`, so a SIGKILL at any instant
+/// leaves every earlier line complete and at most a torn final line,
+/// which [`read_journal`] ignores. Nothing calls `fsync`: the journal
+/// survives a killed process, not power loss.
 struct JournalWriter {
     path: PathBuf,
-    text: String,
+    file: File,
+    /// The first failed append. A failed write can leave a torn line,
+    /// and appending after it would glue the next line onto it, so once
+    /// set every later append is refused with this error.
+    failed: Option<String>,
 }
 
 impl JournalWriter {
-    /// Starts a fresh journal containing only the header line,
-    /// overwriting any stale journal from a previous (non-`--resume`)
-    /// run of the same plan.
-    fn create(path: PathBuf, header: &Json) -> Result<JournalWriter, String> {
-        let mut w = JournalWriter {
+    /// Opens `path` for appending after cutting it to its first `keep`
+    /// bytes: 0 for a fresh run, the complete lines of a resumed one.
+    fn open(path: PathBuf, keep: u64) -> Result<JournalWriter, String> {
+        let ctx = |e: std::io::Error| format!("journal {}: {e}", path.display());
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .map_err(ctx)?;
+        file.set_len(keep).map_err(ctx)?;
+        Ok(JournalWriter {
             path,
-            text: String::new(),
-        };
-        w.append_line(&header.render())?;
-        Ok(w)
+            file,
+            failed: None,
+        })
     }
 
-    /// Reopens a validated journal for appending; `text` is its current
-    /// on-disk content (header + outcome lines).
-    fn resume(path: PathBuf, text: String) -> JournalWriter {
-        debug_assert!(text.ends_with('\n'), "validated journals end in \\n");
-        JournalWriter { path, text }
-    }
-
-    fn append_line(&mut self, line: &str) -> Result<(), String> {
-        self.text.push_str(line);
-        self.text.push('\n');
-        let tmp = self.path.with_extension("jsonl.tmp");
-        retry_with_backoff(
-            &format!("journal write {}", self.path.display()),
-            WRITE_ATTEMPTS,
-            WRITE_BACKOFF_BASE,
-            WRITE_BACKOFF_CAP,
-            || {
-                std::fs::write(&tmp, &self.text)?;
-                std::fs::rename(&tmp, &self.path)
-            },
-        )
+    /// Appends `line` plus its `\n`; `what` names the line in the error.
+    fn append_line(&mut self, mut line: String, what: &str) -> Result<(), String> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        line.push('\n');
+        self.file.write_all(line.as_bytes()).map_err(|e| {
+            let e = format!("journal {}: {what} not journaled: {e}", self.path.display());
+            self.failed = Some(e.clone());
+            e
+        })
     }
 }
 
-/// Reads and validates a resume journal: a version-checked `journal`
-/// header line, then one well-formed outcome per line, each cell
-/// belonging to the journal's shard and appearing at most once. Returns
-/// the header, the outcomes and the raw text (for reopening in append
-/// mode). Every corruption mode fails naming the journal and its shard:
-/// a file not ending in a newline (truncated mid-write — impossible
-/// under this writer, but external copies can truncate), an unparseable
-/// or half-written line, a duplicated cell, a foreign shard's cell.
-fn read_journal(path: &Path) -> Result<(ShardFile, Vec<CellOutcome>, String), String> {
+/// A journal as read back: its header, the outcomes of its complete
+/// lines and the byte length of those lines.
+struct Journal {
+    header: ShardFile,
+    outcomes: Vec<CellOutcome>,
+    complete_len: u64,
+}
+
+/// Reads and validates a journal: a version-checked `journal` header
+/// line, then one well-formed outcome per line, each cell belonging to
+/// the journal's shard and appearing at most once. A final line without
+/// its `\n` is a cell whose append was cut short; it counts as not yet
+/// journaled and is ignored. Returns `None` when not even the header
+/// line is complete. Every corruption of a complete line fails naming
+/// the journal and its shard: an unparseable line, a duplicated cell, a
+/// foreign shard's cell.
+fn read_journal(path: &Path) -> Result<Option<Journal>, String> {
     let ctx = format!("journal {}", path.display());
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{ctx}: {e}"))?;
-    if !text.ends_with('\n') {
-        return Err(format!(
-            "{ctx}: does not end in a newline — truncated mid-write; \
-             delete it and re-run the shard from its plan"
-        ));
-    }
+    let bytes = std::fs::read(path).map_err(|e| format!("{ctx}: {e}"))?;
+    let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let text = std::str::from_utf8(&bytes[..complete])
+        .map_err(|e| format!("{ctx}: not valid UTF-8 ({e}) — corrupted journal"))?;
     let mut lines = text.lines();
-    let header_line = lines
-        .next()
-        .ok_or_else(|| format!("{ctx}: empty — no header line"))?;
+    let Some(header_line) = lines.next() else {
+        return Ok(None);
+    };
     let header_doc = Json::parse(header_line)
         .map_err(|e| format!("{ctx}: header line is not valid JSON ({e})"))?;
     let header = validate_shard_doc(path, header_doc, "journal")?;
@@ -731,7 +702,11 @@ fn read_journal(path: &Path) -> Result<(ShardFile, Vec<CellOutcome>, String), St
         }
         outcomes.push(o);
     }
-    Ok((header, outcomes, text))
+    Ok(Some(Journal {
+        header,
+        outcomes,
+        complete_len: complete as u64,
+    }))
 }
 
 /// Checks that two shard headers describe the same shard of the same
@@ -834,29 +809,26 @@ fn kill_self_for_test() -> ! {
     std::process::exit(137);
 }
 
-/// Executes one shard plan file with the shared parallel runner and
-/// writes the partial-result file (default: [`default_partial_path`]).
-/// Returns the partial's path.
+/// Executes one shard plan file with the shared parallel runner,
+/// appending every finished cell to [`journal_path`] as it completes.
+/// Returns the journal's path.
 ///
-/// Every finished cell is journaled to [`journal_path`] as it
-/// completes. With `resume`, an existing journal is validated (against
-/// the plan header *and* this binary's reference grid) and its cells
-/// are skipped — a shard killed mid-run finishes the rest of its work
-/// on restart and produces the byte-identical partial a single
-/// uninterrupted run writes. Without `resume`, a stale journal is
-/// overwritten and every cell runs.
+/// With `resume`, an existing journal is validated (against the plan
+/// header *and* this binary's reference grid), cut back to its last
+/// complete line and its cells skipped — a shard killed mid-run
+/// finishes the rest of its work on restart, and its journal then
+/// merges byte-identically to one from an uninterrupted run. Without
+/// `resume`, a stale journal is truncated and every cell runs.
 ///
 /// Before running, every cell is cross-checked against the grid this
 /// binary generates for the same scenario and scale: a seed or
 /// parameter mismatch means the plan came from a different code version
 /// (or was tampered with), and silently running it would poison the
 /// merged report.
-pub fn run_shard(
-    plan_path: &Path,
-    parallel: bool,
-    out: Option<&Path>,
-    resume: bool,
-) -> Result<PathBuf, String> {
+///
+/// A failed append fails the run, naming the cell, once every cell has
+/// finished; `--resume` then recomputes what the journal lacks.
+pub fn run_shard(plan_path: &Path, parallel: bool, resume: bool) -> Result<PathBuf, String> {
     let file = read_shard_file(plan_path, "plan")?;
     let scenario = resolve_scenario(&file)?;
     let ctx = file.ctx();
@@ -886,197 +858,130 @@ pub fn run_shard(
     // lacks. The journal's header must match the plan and every
     // journaled cell must match the reference grid — anything else is
     // a stale or foreign journal and fails loudly rather than welding
-    // wrong results into the partial.
+    // wrong results into the merge.
     let jpath = journal_path(plan_path);
-    let mut journaled: Vec<CellOutcome> = Vec::new();
-    let journal = if resume && jpath.exists() {
-        let (jheader, mut outcomes, text) = read_journal(&jpath)?;
-        check_same_shard(&jheader, &file).map_err(|e| {
-            format!("{e} — the journal belongs to a different plan; delete it and re-run")
-        })?;
-        let planned_idx: HashSet<usize> = cells.iter().map(|c| c.index).collect();
-        for o in &outcomes {
-            check_cell_matches(&jheader.ctx(), &o.spec, &reference)?;
-            if !planned_idx.contains(&o.spec.index) {
-                return Err(format!(
-                    "{}: cell {} is not assigned to shard {} by the plan — \
-                     stale journal; delete it and re-run",
-                    jheader.ctx(),
-                    o.spec.index,
-                    file.shard
-                ));
-            }
-        }
-        // A journal written by an unfrozen run must not leak wall-clock
-        // values into a frozen resume's outputs.
-        if crate::freeze_perf() {
-            for o in &mut outcomes {
-                o.wall = Duration::ZERO;
-                o.rss = 0;
-            }
-        }
-        println!(
-            "resuming shard {} of '{}': {} of {} cells journaled, {} to run",
-            file.shard,
-            file.scenario,
-            outcomes.len(),
-            cells.len(),
-            cells.len() - outcomes.len()
-        );
-        journaled = outcomes;
-        JournalWriter::resume(jpath, text)
+    let prior = if resume && jpath.exists() {
+        read_journal(&jpath)?
     } else {
-        // The journal header is the plan's header verbatim (minus the
-        // cell list), kind flipped — exactly how the partial's header
-        // is built, so merge validates all three the same way.
-        let Json::Obj(plan_fields) = &file.doc else {
-            unreachable!("parsed shard file is an object");
-        };
-        let header: Vec<(String, Json)> = plan_fields
-            .iter()
-            .filter(|(k, _)| k != "cells")
-            .map(|(k, v)| match k.as_str() {
-                "kind" => ("kind".to_string(), Json::from("journal")),
-                _ => (k.clone(), v.clone()),
-            })
-            .collect();
-        JournalWriter::create(jpath, &Json::Obj(header))?
+        None
+    };
+    let (journal, journaled) = match prior {
+        Some(j) => {
+            check_same_shard(&j.header, &file).map_err(|e| {
+                format!("{e} — the journal belongs to a different plan; delete it and re-run")
+            })?;
+            let planned_idx: HashSet<usize> = cells.iter().map(|c| c.index).collect();
+            for o in &j.outcomes {
+                check_cell_matches(&j.header.ctx(), &o.spec, &reference)?;
+                if !planned_idx.contains(&o.spec.index) {
+                    return Err(format!(
+                        "{}: cell {} is not assigned to shard {} by the plan — \
+                         stale journal; delete it and re-run",
+                        j.header.ctx(),
+                        o.spec.index,
+                        file.shard
+                    ));
+                }
+            }
+            println!(
+                "resuming shard {} of '{}': {} of {} cells journaled, {} to run",
+                file.shard,
+                file.scenario,
+                j.outcomes.len(),
+                cells.len(),
+                cells.len() - j.outcomes.len()
+            );
+            let done: HashSet<usize> = j.outcomes.iter().map(|o| o.spec.index).collect();
+            (JournalWriter::open(jpath, j.complete_len)?, done)
+        }
+        None => {
+            // No journal, or one killed before its header line was
+            // complete: start afresh. The journal header is the plan's
+            // header verbatim (minus the cell list), kind flipped, so
+            // merge validates it the same way.
+            let Json::Obj(plan_fields) = &file.doc else {
+                unreachable!("parsed shard file is an object");
+            };
+            let header: Vec<(String, Json)> = plan_fields
+                .iter()
+                .filter(|(k, _)| k != "cells")
+                .map(|(k, v)| match k.as_str() {
+                    "kind" => ("kind".to_string(), Json::from("journal")),
+                    _ => (k.clone(), v.clone()),
+                })
+                .collect();
+            let mut w = JournalWriter::open(jpath, 0)?;
+            w.append_line(Json::Obj(header).render(), "header")?;
+            (w, HashSet::new())
+        }
     };
 
-    let done_idx: HashSet<usize> = journaled.iter().map(|o| o.spec.index).collect();
     let remaining: Vec<CellSpec> = cells
         .iter()
-        .filter(|c| !done_idx.contains(&c.index))
+        .filter(|c| !journaled.contains(&c.index))
         .cloned()
         .collect();
 
-    // Heartbeat: written once up front (proving the shard started, and
-    // carrying any resumed progress), then rewritten after every
-    // completed cell. Journal appends and heartbeats share the mutex
-    // because cells complete on rayon workers.
-    let hb_path = heartbeat_path(plan_path);
-    let planned = cells.len();
-    let base_done = journaled.len();
-    write_heartbeat(
-        &hb_path,
-        &file,
-        planned,
-        base_done,
-        journaled.last().map(|o| o.spec.index),
-    );
-    let kill = kill_after(file.shard, base_done);
-    let state = std::sync::Mutex::new((base_done, journal));
-    let new_outcomes = runner::run_cells_with(scenario, &remaining, parallel, &|o| {
-        let mut guard = state.lock().unwrap();
-        let (done, journal) = &mut *guard;
-        // A failed journal append costs resumability, never the run:
-        // the partial below still carries the cell.
-        if let Err(e) = journal.append_line(&encode_outcome(o).render()) {
-            eprintln!("warning: cell {} not journaled: {e}", o.spec.index);
-        }
-        *done += 1;
-        write_heartbeat(&hb_path, &file, planned, *done, Some(o.spec.index));
-        if kill == Some(*done - base_done) {
-            kill_self_for_test();
+    // Cells complete on rayon workers, so appends share a mutex. A
+    // failed append stays in the writer and is returned below.
+    let kill = kill_after(file.shard, journaled.len());
+    let state = Mutex::new((0usize, journal));
+    runner::run_cells_with(scenario, &remaining, parallel, &|o| {
+        let mut guard = state.lock().expect("no cell panics while journaling");
+        let (appended, journal) = &mut *guard;
+        let line = encode_outcome(o).render();
+        if journal
+            .append_line(line, &format!("cell {}", o.spec.index))
+            .is_ok()
+        {
+            *appended += 1;
+            if kill == Some(*appended) {
+                kill_self_for_test();
+            }
         }
     });
-    drop(state);
-    let mut outcomes = journaled;
-    outcomes.extend(new_outcomes);
-    // Journal order on a resumed run is replayed-then-recomputed, not
-    // grid order; restore grid order so the partial is byte-identical
-    // to an uninterrupted run's.
-    outcomes.sort_by_key(|o| o.spec.index);
-    let mut fields = Vec::with_capacity(12);
-    let Json::Obj(header) = &file.doc else {
-        unreachable!("parsed shard file is an object");
-    };
-    // Copy the plan's header verbatim (minus its cell list), flipping
-    // the kind — merge re-validates consistency across partials.
-    for (k, v) in header {
-        match k.as_str() {
-            "cells" => {}
-            "kind" => fields.push(("kind".to_string(), Json::from("partial"))),
-            _ => fields.push((k.clone(), v.clone())),
-        }
+    let (_, journal) = state.into_inner().expect("no cell panics while journaling");
+    match journal.failed {
+        Some(e) => Err(format!(
+            "shard {} of '{}': {e} — finish it with `shard run --resume`",
+            file.shard, file.scenario
+        )),
+        None => Ok(journal.path),
     }
-    fields.push((
-        "outcomes".to_string(),
-        Json::arr(outcomes.iter().map(encode_outcome)),
-    ));
-    let path = out
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| default_partial_path(plan_path));
-    let doc = Json::Obj(fields);
-    // A transient I/O failure here would throw away a whole shard of
-    // simulated cells, so retry with backoff before giving up — naming
-    // the cells at stake, so an operator reading the log knows what a
-    // persistent failure loses (though with the journal intact, a
-    // `--resume` re-run replays them for free).
-    let cell_list = cells
-        .iter()
-        .map(|c| c.index.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    retry_with_backoff(
-        &format!("writing partial {} (cells [{cell_list}])", path.display()),
-        WRITE_ATTEMPTS,
-        WRITE_BACKOFF_BASE,
-        WRITE_BACKOFF_CAP,
-        || doc.write_to(&path),
-    )?;
-    Ok(path)
 }
 
 // -------------------------------------------------------------------
 // merge
 // -------------------------------------------------------------------
 
-/// One loaded merge input: a monolithic partial (`….result.json`) or a
-/// per-shard resume journal (`….cells.jsonl`). Both carry the same
-/// header and decode to the same outcomes, so every validation
-/// downstream of loading is shared — a journal merge is held to the
-/// identical exactly-once coverage bar as a partial merge.
-struct LoadedPartial {
-    header: ShardFile,
-    outcomes: Vec<CellOutcome>,
-}
-
-fn load_partial(path: &Path) -> Result<LoadedPartial, String> {
-    if is_journal_path(path) {
-        let (header, outcomes, _text) = read_journal(path)?;
-        return Ok(LoadedPartial { header, outcomes });
+/// Validates and merges the shards' journals (`<plan>.cells.jsonl`)
+/// into the final report, writing `BENCH_<name>.json` and
+/// `results/*.csv` under `out_root` — byte-identical to what a direct
+/// run of the whole grid writes (under [`crate::freeze_perf`];
+/// wall-clock fields otherwise differ by nature). Returns the
+/// `BENCH_<name>.json` path.
+pub fn merge(journals: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
+    if journals.is_empty() {
+        return Err("shard merge needs at least one journal (<plan>.cells.jsonl)".to_string());
     }
-    let file = read_shard_file(path, "partial")?;
-    let ctx = file.ctx();
-    let outcomes = file
-        .doc
-        .get("outcomes")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{ctx}: no 'outcomes' array"))?
-        .iter()
-        .map(|j| decode_outcome(&ctx, j, file.scale))
-        .collect::<Result<_, _>>()?;
-    Ok(LoadedPartial {
-        header: file,
-        outcomes,
-    })
-}
-
-/// Validates and merges partial-result files — or `….cells.jsonl`
-/// resume journals, in any mix — into the final report, writing
-/// `BENCH_<name>.json` and `results/*.csv` under `out_root` —
-/// byte-identical to what a direct run of the whole grid writes (under
-/// [`crate::freeze_perf`]; wall-clock fields otherwise differ by
-/// nature). Returns the `BENCH_<name>.json` path.
-pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
-    if partials.is_empty() {
-        return Err("shard merge needs at least one partial-result or journal file".to_string());
+    let mut files: Vec<Journal> = Vec::with_capacity(journals.len());
+    for p in journals {
+        if !is_journal_path(p) {
+            return Err(format!(
+                "{}: not a shard journal — `shard merge` takes the <plan>.cells.jsonl \
+                 files `shard run` writes; did you mean {}?",
+                p.display(),
+                expected_journal(p).display()
+            ));
+        }
+        files.push(read_journal(p)?.ok_or_else(|| {
+            format!(
+                "journal {}: no complete header line — the shard never started; \
+                 run it with `shard run`",
+                p.display()
+            )
+        })?);
     }
-    let files: Vec<LoadedPartial> = partials
-        .iter()
-        .map(|p| load_partial(p))
-        .collect::<Result<_, _>>()?;
 
     // Header consistency across inputs.
     let first = &files[0].header;
@@ -1088,7 +993,7 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
         ] {
             if a != b {
                 return Err(format!(
-                    "{}: {what} '{b}' does not match '{a}' from {} — partials of different runs",
+                    "{}: {what} '{b}' does not match '{a}' from {} — journals of different runs",
                     f.ctx(),
                     first.path.display()
                 ));
@@ -1098,7 +1003,7 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
         {
             return Err(format!(
                 "{}: header (scale {}, {} shards, {} cells) does not match {} \
-                 (scale {}, {} shards, {} cells) — partials of different plans",
+                 (scale {}, {} shards, {} cells) — journals of different plans",
                 f.ctx(),
                 f.scale,
                 f.shards,
@@ -1111,17 +1016,16 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
         }
         if f.spec_toml != first.spec_toml {
             return Err(format!(
-                "{}: embedded spec differs from {} — partials of different specs",
+                "{}: embedded spec differs from {} — journals of different specs",
                 f.ctx(),
                 first.path.display()
             ));
         }
     }
 
-    // Every shard present exactly once — a partial and a journal for
-    // the same shard are two claims on the same cells, and retried
-    // fleet workers must converge on one journal per shard, so a
-    // double claim refuses to merge rather than picking a winner.
+    // Every shard present exactly once — two journals for one shard are
+    // two claims on the same cells, so a double claim refuses to merge
+    // rather than picking a winner.
     let mut seen: Vec<Option<&ShardFile>> = vec![None; first.shards];
     for f in &files {
         let h = &f.header;
@@ -1143,7 +1047,7 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
         .collect();
     if !missing.is_empty() {
         return Err(format!(
-            "missing partial(s) for shard(s) {} of {} — '{}' planned {} shards",
+            "missing journal(s) for shard(s) {} of {} — '{}' planned {} shards",
             missing.join(", "),
             first.shards,
             first.scenario,
@@ -1167,20 +1071,6 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
             first.scenario,
             first.scale
         ));
-    }
-
-    // Heartbeat cross-check: advisory only. A heartbeat reporting fewer
-    // completed cells than the plan assigned means the shard run was
-    // interrupted (or the input is stale); merge still hard-fails
-    // below if any cell is actually missing, so this is a warning that
-    // names the likely culprit — and the exact grid cells it owes.
-    for f in &files {
-        let planned: Vec<&CellSpec> = reference
-            .iter()
-            .filter(|c| c.index % first.shards == f.header.shard)
-            .collect();
-        let have: HashSet<usize> = f.outcomes.iter().map(|o| o.spec.index).collect();
-        warn_on_short_heartbeat(&f.header.path, f.header.shard, &planned, &have);
     }
 
     // Every grid cell covered exactly once, each cell's identity
@@ -1207,24 +1097,35 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
             *slot = Some(&f.header);
         }
     }
-    let missing: Vec<String> = owner
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.is_none())
-        .map(|(i, _)| format!("{i} [{}]", reference[i].label()))
+    let missing: Vec<usize> = (0..reference.len())
+        .filter(|&i| owner[i].is_none())
         .collect();
     if !missing.is_empty() {
+        let owing: Vec<String> = seen
+            .iter()
+            .flatten()
+            .filter(|h| missing.iter().any(|i| i % first.shards == h.shard))
+            .map(|h| format!("shard {} ({})", h.shard, h.path.display()))
+            .collect();
         return Err(format!(
-            "grid cell(s) {} of '{}' missing from the provided partials \
-             ({} of {} cells present) — a shard was truncated or its run incomplete",
-            missing.join(", "),
+            "grid cell(s) {} of '{}' missing ({} of {} cells present) — the journal of {} \
+             is incomplete; finish its run with `shard run --resume` and merge again",
+            missing
+                .iter()
+                .map(|&i| format!("{i} [{}]", reference[i].label()))
+                .collect::<Vec<_>>()
+                .join(", "),
             first.scenario,
             reference.len() - missing.len(),
-            reference.len()
+            reference.len(),
+            owing.join(", ")
         ));
     }
     let scale = first.scale;
-    let outcomes: Vec<CellOutcome> = files.into_iter().flat_map(|f| f.outcomes).collect();
+    let mut outcomes: Vec<CellOutcome> = files.into_iter().flat_map(|f| f.outcomes).collect();
+    // A journal resumed under --freeze-perf may still hold wall-clock
+    // values from the unfrozen run it resumed.
+    runner::freeze_walls(&mut outcomes);
 
     let run = runner::assemble(scenario, outcomes);
     // There is no meaningful whole-batch wall clock for a distributed
@@ -1232,61 +1133,6 @@ pub fn merge(partials: &[PathBuf], out_root: &Path) -> Result<PathBuf, String> {
     // freeze-perf.
     runner::render_into(&run, scale, Duration::ZERO, out_root)
         .map_err(|e| format!("cannot write merged report: {e}"))
-}
-
-/// Reads the heartbeat sitting next to a merge input (partial or
-/// journal) and warns (to stderr) if it reports fewer completed cells
-/// than the plan assigned to that shard — naming the exact grid cells
-/// the input actually lacks, so an operator sees *which* sweep points
-/// an interrupted shard still owes, not just a count. Missing or
-/// unparseable heartbeats are silently fine — older runs never wrote
-/// one.
-fn warn_on_short_heartbeat(
-    input: &Path,
-    shard: usize,
-    planned: &[&CellSpec],
-    have: &HashSet<usize>,
-) {
-    let s = input.to_string_lossy();
-    let Some(stem) = s
-        .strip_suffix(".result.json")
-        .or_else(|| s.strip_suffix(".cells.jsonl"))
-    else {
-        return;
-    };
-    let hb = PathBuf::from(format!("{stem}.heartbeat.json"));
-    let Ok(text) = std::fs::read_to_string(&hb) else {
-        return;
-    };
-    let Ok(doc) = Json::parse(&text) else {
-        return;
-    };
-    let done = doc.get("cells_done").and_then(Json::as_u64).unwrap_or(0) as usize;
-    if done >= planned.len() {
-        return;
-    }
-    let missing: Vec<String> = planned
-        .iter()
-        .filter(|c| !have.contains(&c.index))
-        .map(|c| format!("{} [{}]", c.index, c.label()))
-        .collect();
-    if missing.is_empty() {
-        eprintln!(
-            "warning: heartbeat {} reports {done}/{} cells done for shard {shard}, \
-             but every planned cell is present — stale heartbeat; merge proceeds",
-            hb.display(),
-            planned.len()
-        );
-    } else {
-        eprintln!(
-            "warning: heartbeat {} reports {done}/{} cells done for shard {shard} — \
-             the shard run was interrupted or its input is stale; it lacks cell(s) \
-             {} (cell-coverage validation below is still authoritative)",
-            hb.display(),
-            planned.len(),
-            missing.join(", ")
-        );
-    }
 }
 
 // -------------------------------------------------------------------
@@ -1349,8 +1195,8 @@ pub fn unfinished_cells(plan_path: &Path) -> Result<Vec<String>, String> {
         .collect::<Result<_, _>>()?;
     let jpath = journal_path(plan_path);
     let have: HashSet<usize> = match read_journal(&jpath) {
-        Ok((_, outcomes, _)) => outcomes.iter().map(|o| o.spec.index).collect(),
-        Err(_) => HashSet::new(),
+        Ok(Some(j)) => j.outcomes.iter().map(|o| o.spec.index).collect(),
+        _ => HashSet::new(),
     };
     Ok(planned
         .into_iter()
@@ -1466,39 +1312,39 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_round_trips_next_to_the_plan() {
-        assert_eq!(
-            heartbeat_path(Path::new("shards/fig12.shard-0.json")),
-            PathBuf::from("shards/fig12.shard-0.heartbeat.json")
-        );
-        let dir = std::env::temp_dir().join(format!("occamy_shard_hb_{}", std::process::id()));
+    fn merge_rejects_inputs_that_are_not_journals() {
+        // A plan and a worker log: the likeliest wrong inputs.
+        for input in ["shards/fig12.shard-1.json", "shards/fig12.shard-1.log"] {
+            let e = merge(&[PathBuf::from(input)], Path::new("unused")).unwrap_err();
+            assert!(
+                e.contains(input) && e.contains("shards/fig12.shard-1.cells.jsonl"),
+                "the error must name the input and the journal it expected: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn failed_append_fails_every_later_append() {
+        let dir = std::env::temp_dir().join(format!("occamy_shard_append_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let file = ShardFile {
-            path: dir.join("fig12.shard-1.json"),
-            scenario: "fig12".to_string(),
-            source: "registry".to_string(),
-            spec_toml: None,
-            scale: Scale::Smoke,
-            shard: 1,
-            shards: 3,
-            total_cells: 9,
-            doc: Json::Null,
+        let path = dir.join("fig12.shard-0.cells.jsonl");
+        std::fs::write(&path, "header\n").unwrap();
+        // A read-only handle makes the write fail like a full disk.
+        let mut w = JournalWriter {
+            path: path.clone(),
+            file: File::open(&path).unwrap(),
+            failed: None,
         };
-        let hb = heartbeat_path(&file.path);
-        write_heartbeat(&hb, &file, 3, 2, Some(4));
-        let doc = Json::parse(&std::fs::read_to_string(&hb).unwrap()).unwrap();
-        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("heartbeat"));
-        assert_eq!(doc.get("cells_done").and_then(Json::as_u64), Some(2));
-        assert_eq!(doc.get("cells_planned").and_then(Json::as_u64), Some(3));
-        assert_eq!(doc.get("last_cell").and_then(Json::as_u64), Some(4));
-        // Short heartbeat (2 of 3) triggers the advisory path without
-        // erroring; full-coverage validation stays authoritative.
-        let grid = crate::scenario::Grid::new("fig12", Scale::Smoke)
-            .axis("k", [1u64, 2, 3])
-            .build();
-        let planned: Vec<&CellSpec> = grid.iter().collect();
-        let have: HashSet<usize> = [0].into_iter().collect();
-        warn_on_short_heartbeat(&dir.join("fig12.shard-1.result.json"), 1, &planned, &have);
+        let e = w.append_line("{}".to_string(), "cell 2").unwrap_err();
+        assert!(e.contains("cell 2 not journaled"), "{e}");
+        // Once failed, a later append must not glue onto a torn line,
+        // even if the file would now accept it.
+        w.file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        assert_eq!(w.append_line("{}".to_string(), "cell 4").unwrap_err(), e);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "header\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 

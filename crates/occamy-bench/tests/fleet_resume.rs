@@ -1,8 +1,10 @@
 //! The fault-tolerance acceptance bar: **kill → resume → merge must be
-//! byte-identical to an uninterrupted direct run**, journal corruption
-//! must fail naming the shard, and the fleet coordinator must survive a
-//! SIGKILLed worker by re-dispatching it — with the retried attempt
-//! recomputing only the cells the dead one never journaled.
+//! byte-identical to an uninterrupted direct run**, a torn final
+//! journal line must resume while corruption of a complete line fails
+//! naming the shard, a failed append must fail the run, and the fleet
+//! coordinator must survive a SIGKILLed worker by re-dispatching it —
+//! with the retried attempt recomputing only the cells the dead one
+//! never journaled.
 //!
 //! Everything runs under `OCCAMY_FREEZE_PERF=1` (as the CI
 //! `fleet-resilience` job does), which is what makes `cmp`-level
@@ -86,21 +88,21 @@ fn assert_matches_direct(merged_root: &Path, tag: &str) {
 }
 
 /// Plans fig12 (smoke: 4 cells) into 2 shards under `root/shards` and
-/// runs both serially, journaling as they go. Returns (plans, partials).
+/// runs both serially, journaling as they go. Returns (plans, journals).
 fn fig12_fleet_artifacts(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
     freeze();
     let source = ShardSource::from_name("fig12").unwrap();
     let plans = shard::plan(&source, Scale::Smoke, 2, &root.join("shards")).unwrap();
-    let partials = plans
+    let journals = plans
         .iter()
-        .map(|p| shard::run_shard(p, false, None, false).unwrap())
+        .map(|p| shard::run_shard(p, false, false).unwrap())
         .collect();
-    (plans, partials)
+    (plans, journals)
 }
 
 /// Truncates a journal to its header plus the first `keep` outcome
-/// lines (preserving the trailing newline) — exactly what the disk
-/// holds after a worker is SIGKILLed `keep` cells in.
+/// lines (preserving the trailing newline) — what the disk holds after
+/// a worker is SIGKILLed between appends, `keep` cells in.
 fn truncate_journal(journal: &Path, keep: usize) -> String {
     let text = std::fs::read_to_string(journal).unwrap();
     let kept: Vec<&str> = text.lines().take(1 + keep).collect();
@@ -112,22 +114,19 @@ fn truncate_journal(journal: &Path, keep: usize) -> String {
 #[test]
 fn kill_and_resume_merges_byte_identical_to_direct_run() {
     let root = scratch("resume");
-    let (plans, partials) = fig12_fleet_artifacts(&root);
+    let (plans, journals) = fig12_fleet_artifacts(&root);
 
-    // Simulate shard 0 dying one cell in: journal loses its second
-    // outcome, the partial and heartbeat were never written.
-    let journal = shard::journal_path(&plans[0]);
-    let full = std::fs::read_to_string(&journal).unwrap();
+    // Simulate shard 0 dying one cell in: its journal lacks the second
+    // outcome.
+    let full = std::fs::read_to_string(&journals[0]).unwrap();
     assert_eq!(full.lines().count(), 3, "header + 2 journaled cells");
-    let truncated = truncate_journal(&journal, 1);
-    std::fs::remove_file(&partials[0]).unwrap();
-    std::fs::remove_file(shard::heartbeat_path(&plans[0])).unwrap();
+    let truncated = truncate_journal(&journals[0], 1);
 
     // Resume: the journaled cell is replayed, only the missing one
     // recomputed, and the journal grows append-only.
-    let resumed_partial = shard::run_shard(&plans[0], false, None, true).unwrap();
-    assert_eq!(resumed_partial, partials[0]);
-    let resumed = std::fs::read_to_string(&journal).unwrap();
+    let resumed_journal = shard::run_shard(&plans[0], false, true).unwrap();
+    assert_eq!(resumed_journal, journals[0]);
+    let resumed = std::fs::read_to_string(&journals[0]).unwrap();
     assert!(
         resumed.starts_with(&truncated),
         "resume must append to the surviving journal, not rewrite it"
@@ -138,62 +137,60 @@ fn kill_and_resume_merges_byte_identical_to_direct_run() {
         "resume recomputes exactly the one unjournaled cell"
     );
 
-    shard::merge(&partials, &root).unwrap();
+    shard::merge(&journals, &root).unwrap();
     assert_matches_direct(&root, "resume");
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
-fn merge_accepts_journals_in_place_of_partials() {
-    let root = scratch("jmerge");
-    let (plans, partials) = fig12_fleet_artifacts(&root);
-    // Shard 0 by journal, shard 1 by partial — any mix merges to the
-    // same bytes.
-    let inputs = vec![shard::journal_path(&plans[0]), partials[1].clone()];
-    shard::merge(&inputs, &root).unwrap();
-    assert_matches_direct(&root, "jmerge");
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn journal_and_partial_for_same_shard_do_not_merge() {
-    let root = scratch("dupshard");
-    let (plans, partials) = fig12_fleet_artifacts(&root);
-    let inputs = vec![
-        partials[0].clone(),
-        shard::journal_path(&plans[0]),
-        partials[1].clone(),
-    ];
-    let err = shard::merge(&inputs, &root).unwrap_err();
-    assert!(
-        err.contains("already provided by"),
-        "a shard covered twice must be rejected: {err}"
-    );
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn torn_journal_line_fails_naming_the_shard() {
+fn torn_journal_tail_resumes_recomputing_only_the_torn_cell() {
     let root = scratch("torn");
-    let (plans, _partials) = fig12_fleet_artifacts(&root);
-    let journal = shard::journal_path(&plans[1]);
-    let text = std::fs::read_to_string(&journal).unwrap();
+    let (plans, journals) = fig12_fleet_artifacts(&root);
+    let text = std::fs::read_to_string(&journals[1]).unwrap();
+    // The complete lines a worker killed mid-append leaves: header and
+    // first cell, followed by a torn second cell without its newline.
+    let complete = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+    std::fs::write(&journals[1], &text[..text.len() - 20]).unwrap();
 
-    // A journal cut mid-line (no trailing newline), as an interrupted
-    // copy leaves it.
-    std::fs::write(&journal, &text[..text.len() - 20]).unwrap();
-    let err = shard::run_shard(&plans[1], false, None, true).unwrap_err();
+    shard::run_shard(&plans[1], false, true).unwrap();
+    let resumed = std::fs::read_to_string(&journals[1]).unwrap();
     assert!(
-        err.contains("truncated mid-write") && err.contains("shard-1"),
-        "a torn journal must fail naming the shard: {err}"
+        resumed.starts_with(&text[..complete]),
+        "resume must keep every complete line byte for byte"
+    );
+    assert_eq!(
+        resumed.lines().count(),
+        3,
+        "only the torn cell is recomputed; its torn bytes are cut off"
     );
 
-    // A half-written last line that does end in a newline: invalid JSON.
-    std::fs::write(&journal, format!("{}\n", &text[..text.len() - 20])).unwrap();
-    let err = shard::run_shard(&plans[1], false, None, true).unwrap_err();
+    shard::merge(&journals, &root).unwrap();
+    assert_matches_direct(&root, "torn");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn corrupt_interior_journal_line_fails_naming_the_shard() {
+    let root = scratch("corrupt_line");
+    let (plans, journals) = fig12_fleet_artifacts(&root);
+    let text = std::fs::read_to_string(&journals[1]).unwrap();
+    // Half of the first cell's line, still newline-terminated and
+    // followed by the intact second cell: a complete line that does not
+    // parse is corruption, not a torn tail.
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let half = lines[1].len() / 2;
+    lines[1].truncate(half);
+    std::fs::write(&journals[1], format!("{}\n", lines.join("\n"))).unwrap();
+
+    let err = shard::run_shard(&plans[1], false, true).unwrap_err();
     assert!(
         err.contains("not valid JSON") && err.contains("shard 1"),
-        "a half-written line must fail naming the shard: {err}"
+        "a corrupt line must fail the resume naming the shard: {err}"
+    );
+    let err = shard::merge(&journals, &root).unwrap_err();
+    assert!(
+        err.contains("not valid JSON") && err.contains("shard-1.cells.jsonl"),
+        "a corrupt line must fail the merge naming the shard: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -201,21 +198,21 @@ fn torn_journal_line_fails_naming_the_shard() {
 #[test]
 fn duplicated_journal_cell_fails_naming_the_shard() {
     let root = scratch("dupcell");
-    let (plans, _partials) = fig12_fleet_artifacts(&root);
-    let journal = shard::journal_path(&plans[1]);
-    let mut text = std::fs::read_to_string(&journal).unwrap();
+    let (plans, journals) = fig12_fleet_artifacts(&root);
+    let journal = &journals[1];
+    let mut text = std::fs::read_to_string(journal).unwrap();
     let last = text.lines().last().unwrap().to_string();
     text.push_str(&last);
     text.push('\n');
-    std::fs::write(&journal, &text).unwrap();
+    std::fs::write(journal, &text).unwrap();
 
     // Both the resume path and the merge path must refuse it.
-    let err = shard::run_shard(&plans[1], false, None, true).unwrap_err();
+    let err = shard::run_shard(&plans[1], false, true).unwrap_err();
     assert!(
         err.contains("already journaled") && err.contains("shard 1"),
         "a duplicated cell must fail the resume: {err}"
     );
-    let err = shard::merge(std::slice::from_ref(&journal), &root).unwrap_err();
+    let err = shard::merge(std::slice::from_ref(journal), &root).unwrap_err();
     assert!(
         err.contains("already journaled") && err.contains("shard 1"),
         "a duplicated cell must fail the merge: {err}"
@@ -226,15 +223,10 @@ fn duplicated_journal_cell_fails_naming_the_shard() {
 #[test]
 fn foreign_journal_is_rejected_on_resume() {
     let root = scratch("foreign");
-    let (plans, partials) = fig12_fleet_artifacts(&root);
+    let (plans, journals) = fig12_fleet_artifacts(&root);
     // Shard 1's journal dropped in place of shard 0's: header mismatch.
-    std::fs::copy(
-        shard::journal_path(&plans[1]),
-        shard::journal_path(&plans[0]),
-    )
-    .unwrap();
-    std::fs::remove_file(&partials[0]).unwrap();
-    let err = shard::run_shard(&plans[0], false, None, true).unwrap_err();
+    std::fs::copy(&journals[1], &journals[0]).unwrap();
+    let err = shard::run_shard(&plans[0], false, true).unwrap_err();
     assert!(
         err.contains("belongs to a different plan"),
         "a foreign journal must not resume: {err}"
@@ -307,6 +299,52 @@ fn fleet_survives_a_sigkilled_worker_and_merges_byte_identical() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// An append that fails partway (the file-size limit, with SIGXFSZ
+/// ignored so the write returns an error instead of killing the worker)
+/// must fail the run naming the cell and append nothing after the torn
+/// bytes; `--resume` then finishes the journal to the same merge.
+#[cfg(target_os = "linux")]
+#[test]
+fn failed_append_fails_the_run_and_resumes() {
+    let root = scratch("append_fail");
+    freeze();
+    let source = ShardSource::from_name("fig12").unwrap();
+    let plans = shard::plan(&source, Scale::Smoke, 1, &root.join("shards")).unwrap();
+    // One block (512 or 1024 bytes, by shell): the header and at least
+    // one cell fit, a later cell's line is cut short.
+    let output = std::process::Command::new("sh")
+        .arg("-c")
+        .arg("trap '' XFSZ; ulimit -f 1; exec \"$0\" shard run \"$1\" --serial")
+        .arg(bench_binary())
+        .arg(&plans[0])
+        .env("OCCAMY_FREEZE_PERF", "1")
+        .output()
+        .expect("sh spawns");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        !output.status.success(),
+        "a failed append must fail the run:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("shard 0") && stderr.contains("not journaled"),
+        "the error must name the shard and the cell:\n{stderr}"
+    );
+    let journal = shard::journal_path(&plans[0]);
+    let torn = std::fs::read(&journal).unwrap();
+    assert!(!torn.ends_with(b"\n"), "the limit must cut a line short");
+    let complete = torn.iter().rposition(|&b| b == b'\n').unwrap() + 1;
+
+    shard::run_shard(&plans[0], false, true).unwrap();
+    let resumed = std::fs::read(&journal).unwrap();
+    assert!(
+        resumed.starts_with(&torn[..complete]),
+        "complete lines kept"
+    );
+    shard::merge(&[journal], &root).unwrap();
+    assert_matches_direct(&root, "append_fail");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Degraded mode: with retries exhausted the fleet must finish the
 /// healthy shard, name the dead shard's unfinished cells by grid
 /// label, and exit nonzero — no merge, no panic.
@@ -341,7 +379,7 @@ fn fleet_degrades_gracefully_when_retries_are_exhausted() {
         stderr.contains("unfinished cells") && stderr.contains("shard 0 (1 attempts): 2 ["),
         "the cells still owed must be named by index and grid label:\n{stderr}"
     );
-    // The healthy shard still finished — its partial is on disk for a
+    // The healthy shard still finished — its journal is on disk for a
     // later resume.
     assert!(
         stdout.contains("shard 1 done"),

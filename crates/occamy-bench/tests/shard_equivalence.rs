@@ -1,8 +1,8 @@
 //! The sharding acceptance bar: **plan → run → merge must be
 //! byte-identical to a direct run** — for a registry figure and for a
-//! `--spec` scenario — and every corruption of a shard file must fail
-//! with a clear error naming the shard, never a panic or a silently
-//! dropped cell.
+//! `--spec` scenario — and every corruption of a plan or journal must
+//! fail with a clear error naming the shard, never a panic or a
+//! silently dropped cell.
 //!
 //! Everything runs under `OCCAMY_FREEZE_PERF=1` (as the CI
 //! `shard-equivalence` job does): wall-clock fields are the one
@@ -71,15 +71,14 @@ fn direct(source: &ShardSource, scale: Scale, root: &Path) {
     render_into(&runs[0], scale, stats.wall, root).unwrap();
 }
 
-/// plan → run each shard → merge into `root`; returns the partial paths.
-fn sharded(source: &ShardSource, scale: Scale, shards: usize, root: &Path) -> Vec<PathBuf> {
+/// plan → run each shard → merge into `root`.
+fn sharded(source: &ShardSource, scale: Scale, shards: usize, root: &Path) {
     let plans = shard::plan(source, scale, shards, &root.join("shards")).unwrap();
-    let partials: Vec<PathBuf> = plans
+    let journals: Vec<PathBuf> = plans
         .iter()
-        .map(|p| shard::run_shard(p, false, None, false).unwrap())
+        .map(|p| shard::run_shard(p, false, false).unwrap())
         .collect();
-    shard::merge(&partials, root).unwrap();
-    partials
+    shard::merge(&journals, root).unwrap();
 }
 
 /// The full equivalence check: identical file sets, byte-identical
@@ -92,7 +91,7 @@ fn assert_equivalent(source: &ShardSource, scale: Scale, shards: usize, tag: &st
     sharded(source, scale, shards, &b);
     let direct_files = tree(&a);
     let mut merged_files = tree(&b);
-    // The merged tree also holds the shard plan/partial files.
+    // The merged tree also holds the shard plans and journals.
     merged_files.retain(|k, _| !k.starts_with("shards"));
     assert_eq!(
         direct_files.keys().collect::<Vec<_>>(),
@@ -160,44 +159,55 @@ fn paper_fabric_128h_plans_without_executing() {
 // Corruption handling
 // -------------------------------------------------------------------
 
-/// Plans fig12 into 2 shards and runs both, returning (root, partials).
-fn fig12_partials() -> (PathBuf, Vec<PathBuf>) {
+/// Plans fig12 into 2 shards and runs both, returning (root, journals).
+fn fig12_journals() -> (PathBuf, Vec<PathBuf>) {
     freeze();
     let root = scratch("corrupt");
     let source = ShardSource::from_name("fig12").unwrap();
     let plans = shard::plan(&source, Scale::Smoke, 2, &root.join("shards")).unwrap();
-    let partials = plans
+    let journals = plans
         .iter()
-        .map(|p| shard::run_shard(p, false, None, false).unwrap())
+        .map(|p| shard::run_shard(p, false, false).unwrap())
         .collect();
-    (root, partials)
+    (root, journals)
+}
+
+/// Rewrites a journal through `edit`, which gets the header line and
+/// the outcome lines and returns the lines to keep.
+fn edit_journal(journal: &Path, edit: impl FnOnce(String, Vec<String>) -> Vec<String>) {
+    let text = std::fs::read_to_string(journal).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let header = lines.remove(0);
+    let kept = edit(header, lines);
+    std::fs::write(journal, format!("{}\n", kept.join("\n"))).unwrap();
 }
 
 #[test]
-fn truncated_partial_fails_naming_the_shard() {
-    let (root, partials) = fig12_partials();
-    let bytes = std::fs::read(&partials[1]).unwrap();
-    std::fs::write(&partials[1], &bytes[..bytes.len() / 2]).unwrap();
-    let err = shard::merge(&partials, &root).unwrap_err();
+fn journal_cut_mid_line_merges_as_missing_cells_naming_the_shard() {
+    let (root, journals) = fig12_journals();
+    let text = std::fs::read_to_string(&journals[1]).unwrap();
+    // Cut mid-way through the last line: that cell is not journaled.
+    std::fs::write(&journals[1], &text[..text.len() - 20]).unwrap();
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(
-        err.contains("fig12.shard-1.result.json"),
-        "error must name the truncated shard: {err}"
+        err.contains("grid cell(s) 3 [") && err.contains("missing"),
+        "the torn cell must be reported missing: {err}"
     );
     assert!(
-        err.contains("truncated or corrupted"),
-        "error must say what is wrong: {err}"
+        err.contains("shard 1") && err.contains("fig12.shard-1.cells.jsonl"),
+        "error must name the incomplete shard: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn version_mismatch_fails_with_both_versions() {
-    let (root, partials) = fig12_partials();
-    let text = std::fs::read_to_string(&partials[0]).unwrap();
-    std::fs::write(&partials[0], text.replace("\"format\":1", "\"format\":99")).unwrap();
-    let err = shard::merge(&partials, &root).unwrap_err();
+    let (root, journals) = fig12_journals();
+    let text = std::fs::read_to_string(&journals[0]).unwrap();
+    std::fs::write(&journals[0], text.replace("\"format\":1", "\"format\":99")).unwrap();
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(
-        err.contains("fig12.shard-0.result.json") && err.contains("99"),
+        err.contains("fig12.shard-0.cells.jsonl") && err.contains("99"),
         "error must name the shard and its version: {err}"
     );
     assert!(err.contains("version 1"), "{err}");
@@ -206,17 +216,17 @@ fn version_mismatch_fails_with_both_versions() {
     let plan = root.join("shards/fig12.shard-0.json");
     let text = std::fs::read_to_string(&plan).unwrap();
     std::fs::write(&plan, text.replace("\"format\":1", "\"format\":2")).unwrap();
-    let err = shard::run_shard(&plan, false, None, false).unwrap_err();
+    let err = shard::run_shard(&plan, false, false).unwrap_err();
     assert!(err.contains("format version 2"), "{err}");
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn missing_shard_fails_listing_it() {
-    let (root, partials) = fig12_partials();
-    let err = shard::merge(&partials[..1], &root).unwrap_err();
+    let (root, journals) = fig12_journals();
+    let err = shard::merge(&journals[..1], &root).unwrap_err();
     assert!(
-        err.contains("missing partial(s) for shard(s) 1"),
+        err.contains("missing journal(s) for shard(s) 1"),
         "error must list the absent shard: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);
@@ -224,8 +234,8 @@ fn missing_shard_fails_listing_it() {
 
 #[test]
 fn duplicate_shard_fails_naming_both_files() {
-    let (root, partials) = fig12_partials();
-    let dup = vec![partials[0].clone(), partials[0].clone()];
+    let (root, journals) = fig12_journals();
+    let dup = vec![journals[0].clone(), journals[0].clone()];
     let err = shard::merge(&dup, &root).unwrap_err();
     assert!(
         err.contains("already provided by"),
@@ -236,24 +246,17 @@ fn duplicate_shard_fails_naming_both_files() {
 
 #[test]
 fn dropped_cell_fails_instead_of_silently_merging() {
-    let (root, partials) = fig12_partials();
-    // Surgically remove one outcome from shard 0 (keeping valid JSON),
-    // as a partially-uploaded or interrupted run would.
-    let doc = Json::parse(&std::fs::read_to_string(&partials[0]).unwrap()).unwrap();
-    let Json::Obj(mut fields) = doc else { panic!() };
-    let mut removed = None;
-    for (k, v) in &mut fields {
-        if k == "outcomes" {
-            let Json::Arr(items) = v else { panic!() };
-            removed = items.pop();
-        }
-    }
-    assert!(removed.is_some(), "partial had no outcomes to drop");
-    std::fs::write(&partials[0], format!("{}\n", Json::Obj(fields))).unwrap();
-    let err = shard::merge(&partials, &root).unwrap_err();
+    let (root, journals) = fig12_journals();
+    // Remove one complete line from shard 0's journal, as a
+    // partially-uploaded copy would.
+    edit_journal(&journals[0], |header, mut cells| {
+        assert!(cells.pop().is_some(), "journal had no cells to drop");
+        std::iter::once(header).chain(cells).collect()
+    });
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(
-        err.contains("missing from the provided partials"),
-        "a dropped cell must fail the merge: {err}"
+        err.contains("missing") && err.contains("shard 0"),
+        "a dropped cell must fail the merge, naming its shard: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -280,7 +283,7 @@ fn tampered_seed_is_rejected_before_running() {
         }
     }
     std::fs::write(&plans[0], format!("{}\n", Json::Obj(fields))).unwrap();
-    let err = shard::run_shard(&plans[0], false, None, false).unwrap_err();
+    let err = shard::run_shard(&plans[0], false, false).unwrap_err();
     assert!(
         err.contains("disagrees with this binary's grid"),
         "a tampered seed must not execute: {err}"
@@ -289,27 +292,23 @@ fn tampered_seed_is_rejected_before_running() {
 }
 
 #[test]
-fn consistently_shrunken_partials_do_not_silently_drop_cells() {
-    // Both partials rewritten to claim a 2-cell grid, with the cells
+fn consistently_shrunken_journals_do_not_silently_drop_cells() {
+    // Both journals rewritten to claim a 2-cell grid, with the cells
     // beyond it removed — internally consistent, but not the grid this
     // binary derives for fig12. The merge must refuse, not emit a
     // "complete" half-report.
-    let (root, partials) = fig12_partials();
-    for p in &partials {
-        let doc = Json::parse(&std::fs::read_to_string(p).unwrap()).unwrap();
-        let Json::Obj(mut fields) = doc else { panic!() };
-        for (k, v) in &mut fields {
-            if k == "total_cells" {
-                *v = Json::from(2u64);
-            }
-            if k == "outcomes" {
-                let Json::Arr(items) = v else { panic!() };
-                items.retain(|o| o.get("index").and_then(Json::as_u64).unwrap() < 2);
-            }
-        }
-        std::fs::write(p, format!("{}\n", Json::Obj(fields))).unwrap();
+    let (root, journals) = fig12_journals();
+    for p in &journals {
+        edit_journal(p, |header, cells| {
+            let header = header.replace("\"total_cells\":4", "\"total_cells\":2");
+            let kept = cells.into_iter().filter(|line| {
+                let o = Json::parse(line).unwrap();
+                o.get("index").and_then(Json::as_u64).unwrap() < 2
+            });
+            std::iter::once(header).chain(kept).collect()
+        });
     }
-    let err = shard::merge(&partials, &root).unwrap_err();
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(
         err.contains("this binary generates 4"),
         "a shrunken grid must fail the merge: {err}"
@@ -319,15 +318,15 @@ fn consistently_shrunken_partials_do_not_silently_drop_cells() {
 
 #[test]
 fn absurd_wall_ms_errors_instead_of_panicking() {
-    let (root, partials) = fig12_partials();
-    let text = std::fs::read_to_string(&partials[0]).unwrap();
+    let (root, journals) = fig12_journals();
+    let text = std::fs::read_to_string(&journals[0]).unwrap();
     assert!(text.contains("\"wall_ms\":0"), "freeze-perf zeroes walls");
     std::fs::write(
-        &partials[0],
+        &journals[0],
         text.replacen("\"wall_ms\":0", "\"wall_ms\":1e300", 1),
     )
     .unwrap();
-    let err = shard::merge(&partials, &root).unwrap_err();
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(
         err.contains("'wall_ms'") && err.contains("out of range"),
         "{err}"
@@ -337,28 +336,28 @@ fn absurd_wall_ms_errors_instead_of_panicking() {
 
 #[test]
 fn implausible_header_counts_error_instead_of_aborting() {
-    let (root, partials) = fig12_partials();
-    let text = std::fs::read_to_string(&partials[0]).unwrap();
+    let (root, journals) = fig12_journals();
+    let text = std::fs::read_to_string(&journals[0]).unwrap();
     std::fs::write(
-        &partials[0],
+        &journals[0],
         text.replace("\"total_cells\":4", "\"total_cells\":4000000000000000000"),
     )
     .unwrap();
-    let err = shard::merge(&partials, &root).unwrap_err();
+    let err = shard::merge(&journals, &root).unwrap_err();
     assert!(err.contains("implausible total_cells"), "{err}");
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
-fn partials_from_different_plans_do_not_merge() {
-    let (root, partials) = fig12_partials();
+fn journals_from_different_plans_do_not_merge() {
+    let (root, journals) = fig12_journals();
     // A 3-shard replan of the same scenario: shard counts disagree.
     let source = ShardSource::from_name("fig12").unwrap();
     let other_plans = shard::plan(&source, Scale::Smoke, 3, &root.join("shards3")).unwrap();
-    let other = shard::run_shard(&other_plans[1], false, None, false).unwrap();
-    let err = shard::merge(&[partials[0].clone(), other], &root).unwrap_err();
+    let other = shard::run_shard(&other_plans[1], false, false).unwrap();
+    let err = shard::merge(&[journals[0].clone(), other], &root).unwrap_err();
     assert!(
-        err.contains("partials of different plans"),
+        err.contains("journals of different plans"),
         "mixed plans must be rejected: {err}"
     );
     let _ = std::fs::remove_dir_all(&root);

@@ -11,8 +11,13 @@ use occamy::sim::topology::{
 use occamy::sim::{CcAlgo, FlowDesc, SimConfig, World, MS, SEC, US};
 use occamy::stats::FlowClass;
 use occamy::traffic::{web_search, BackgroundWorkload, QueryWorkload, TrafficClass};
+use occamy_bench::runner::{execute, render_into};
+use occamy_bench::scenario::Scale;
+use occamy_bench::shard::{self, ShardSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 const G25: u64 = 25_000_000_000;
 
@@ -381,4 +386,92 @@ fn serial_matches_two_threads_on_dropping_fat_tree() {
     }
     resumed.run_to_completion(SEC);
     assert_eq!(end_state(&resumed), end_state(&serial));
+}
+
+/// A fresh scratch directory for one test (tests run concurrently).
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("occamy_it_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Every file under `root` (BENCH json and results CSVs), keyed by
+/// relative path.
+fn files_under(root: &Path) -> BTreeMap<String, Vec<u8>> {
+    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).unwrap().to_string_lossy();
+                out.insert(rel.into_owned(), std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(root, root, &mut out);
+    out
+}
+
+/// Plans fig12 at smoke scale (4 cells) into 2 shards under `root` and
+/// runs both, returning (plans, journals). Perf fields are frozen, as
+/// for every byte comparison of reports.
+fn fig12_shards(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
+    std::env::set_var("OCCAMY_FREEZE_PERF", "1");
+    let source = ShardSource::from_name("fig12").unwrap();
+    let plans = shard::plan(&source, Scale::Smoke, 2, &root.join("shards")).unwrap();
+    let journals = plans
+        .iter()
+        .map(|p| shard::run_shard(p, false, false).unwrap())
+        .collect();
+    (plans, journals)
+}
+
+/// Asserts that merging `journals` writes exactly the files a direct
+/// fig12 run writes, byte for byte.
+fn assert_merge_matches_direct(journals: &[PathBuf], root: &Path) {
+    let merged = root.join("merged");
+    shard::merge(journals, &merged).unwrap();
+    let direct = root.join("direct");
+    let source = ShardSource::from_name("fig12").unwrap();
+    let (runs, stats) = execute(&[source.scenario()], Scale::Smoke, false);
+    render_into(&runs[0], Scale::Smoke, stats.wall, &direct).unwrap();
+    let (merged, direct) = (files_under(&merged), files_under(&direct));
+    assert!(direct.contains_key("BENCH_fig12.json"));
+    assert_eq!(
+        merged.keys().collect::<Vec<_>>(),
+        direct.keys().collect::<Vec<_>>()
+    );
+    for (path, bytes) in &direct {
+        assert!(&merged[path] == bytes, "{path} differs from a direct run");
+    }
+}
+
+#[test]
+fn shard_merge_matches_direct_run() {
+    let root = scratch_dir("shard_merge");
+    let (_, journals) = fig12_shards(&root);
+    assert_merge_matches_direct(&journals, &root);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn resume_after_kill_matches_fresh_run() {
+    let root = scratch_dir("resume");
+    let (plans, journals) = fig12_shards(&root);
+    // A worker killed mid-append leaves its last line torn.
+    let text = std::fs::read(&journals[1]).unwrap();
+    let last_line = text[..text.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .unwrap()
+        + 1;
+    let cut = (last_line + text.len()) / 2;
+    std::fs::write(&journals[1], &text[..cut]).unwrap();
+    shard::run_shard(&plans[1], false, true).unwrap();
+    assert_eq!(std::fs::read(&journals[1]).unwrap(), text);
+    assert_merge_matches_direct(&journals, &root);
+    let _ = std::fs::remove_dir_all(&root);
 }
