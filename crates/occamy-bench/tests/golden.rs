@@ -1,6 +1,6 @@
 //! Golden-metric regression tracking (ROADMAP: "result regression
 //! tracking"): `golden/` holds committed smoke-scale `BENCH_<name>.json`
-//! snapshots of four stable scenarios; this test re-runs them
+//! snapshots of six stable scenarios; this test re-runs them
 //! in-process and fails when any *headline* metric drifts beyond
 //! tolerance.
 //!
@@ -13,7 +13,7 @@
 //! Regenerating after an *intentional* result change:
 //!
 //! ```text
-//! cd $(mktemp -d) && occamy-bench run fig03 fig12 fig20 perf_transport --smoke --serial --freeze-perf
+//! cd $(mktemp -d) && occamy-bench run fig03 fig07 fig12 fig20 fig21 perf_transport --smoke --serial --freeze-perf
 //! cp BENCH_<name>.json <repo>/golden/    # only the scenarios whose headline metrics moved
 //! ```
 
@@ -24,11 +24,20 @@ use occamy_spec::Value;
 use std::path::PathBuf;
 
 /// The tracked scenarios: one CBR micro-testbed (fig03), one CBR sweep
-/// with an α axis (fig12), one transport-level leaf-spine study
-/// (fig20) and the transport hot-path baseline (perf_transport, whose
-/// *headline* metrics must survive transport-layer perf work untouched)
-/// — together they cover every simulation substrate.
-const TRACKED: &[&str] = &["fig03", "fig12", "fig20", "perf_transport"];
+/// with an α axis (fig12), three leaf-spine studies — fig07 (world
+/// drop metrics read through `run_world`), fig20 (transport-level
+/// slowdowns) and fig21 (the only `OccamyLongest` run) — and the
+/// transport hot-path baseline (perf_transport, whose *headline* metrics
+/// must survive transport-layer perf work untouched). Together they
+/// cover every simulation substrate.
+const TRACKED: &[&str] = &[
+    "fig03",
+    "fig07",
+    "fig12",
+    "fig20",
+    "fig21",
+    "perf_transport",
+];
 
 /// Metric keys excluded from the comparison (perf, not results).
 const PERF_METRICS: &[&str] = &["events"];

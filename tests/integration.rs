@@ -11,6 +11,8 @@ use occamy::sim::topology::{
 use occamy::sim::{CcAlgo, FlowDesc, SimConfig, World, MS, SEC, US};
 use occamy::stats::FlowClass;
 use occamy::traffic::{web_search, BackgroundWorkload, QueryWorkload, TrafficClass};
+use occamy_bench::fabric::{FabricScenario, FabricTopo};
+use occamy_bench::report::aggregate;
 use occamy_bench::runner::{execute, render_into};
 use occamy_bench::scenario::Scale;
 use occamy_bench::shard::{self, ShardSource};
@@ -386,6 +388,37 @@ fn serial_matches_two_threads_on_dropping_fat_tree() {
     }
     resumed.run_to_completion(SEC);
     assert_eq!(end_state(&resumed), end_state(&serial));
+}
+
+#[test]
+fn leaf_spine_slowdowns_use_the_link_propagation_base_rtt() {
+    // The slowdown base RTT is 2 × longest path × link propagation on
+    // every topology, leaf-spine included: 2 × 4 links × 20 µs.
+    let topo = FabricTopo::LeafSpine {
+        spines: 4,
+        leaves: 4,
+        hosts_per_leaf: 8,
+    };
+    let mut f = FabricScenario::paper_scaled(topo, BmKind::Dt, 1.0);
+    f.link_prop_ps = 20 * US;
+    f.duration_ps = 2 * MS;
+    f.drain_ps = 20 * MS;
+    f.qps_per_host *= 4.0;
+    assert_eq!(f.ideal().base_rtt_ps, 160 * US);
+    let (world, result) = f.run_world();
+    let rescored = aggregate(&world.flow_records(), f.ideal(), 0, 0);
+    assert!(!result.qct_slowdown.is_empty(), "no queries finished");
+    for (what, run, ideal) in [
+        ("qct", &result.qct_slowdown, &rescored.qct_slowdown),
+        ("bg", &result.bg_slowdown, &rescored.bg_slowdown),
+    ] {
+        assert!(
+            run.samples() == ideal.samples(),
+            "{what} slowdowns not scored against ideal(): mean {:?} vs {:?}",
+            run.mean(),
+            ideal.mean()
+        );
+    }
 }
 
 /// A fresh scratch directory for one test (tests run concurrently).
