@@ -78,8 +78,8 @@ fn bench_on_data(c: &mut Criterion) {
 }
 
 /// Timer arm/fire through the event queue: one pending timer per flow,
-/// RTO-scale deadlines, popped in deadline order — the wheel path that
-/// used to be heap sift traffic.
+/// RTO-scale deadlines, popped in deadline order — the far-heap and
+/// window-migration path of the wheel.
 fn arm_fire(flows: u64) -> u64 {
     let mut q = EventQueue::new();
     for f in 0..flows {

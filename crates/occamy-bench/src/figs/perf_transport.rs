@@ -13,10 +13,10 @@
 //!   60% load under the same incast queries — the ACK-clock steady state
 //!   where `on_ack`/`next_segment` dominate.
 //!
-//! The runner records `events` per cell and events/sec in
-//! `BENCH_perf_transport.json` / `results/perf_transport_perf.csv`; CI
-//! runs the quick scale serially on every push so the trajectory is
-//! visible per commit. Headline (non-perf) metrics are pinned by the
+//! Each run records `events` per cell and events/sec in the
+//! `BENCH_perf_transport.json` and `results/perf_transport_perf.csv` it
+//! writes to its working directory; CI runs the quick scale serially on
+//! every push so the trajectory is visible per commit. Headline (non-perf) metrics are pinned by the
 //! golden snapshot like any other scenario — a transport refactor must
 //! move events/sec, not results.
 
@@ -116,8 +116,9 @@ impl Scenario for PerfTransport {
         }
         Report::new().table_csv(t, "perf_transport.csv").note(
             "Perf baseline, not a paper figure: events/sec for these cells is the \
-             tracked transport hot-path number (see BENCH_perf_transport.json and \
-             results/perf_transport_perf.csv; README §Performance has the trajectory).",
+             tracked transport hot-path number (this run wrote it to \
+             BENCH_perf_transport.json and results/perf_transport_perf.csv; README \
+             §Performance has the trajectory).",
         )
     }
 }

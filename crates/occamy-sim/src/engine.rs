@@ -21,14 +21,21 @@
 //! tracked `perf_transport` baseline measures this path.
 //!
 //! [`Ctx`] bundles the mutable world state a handler touches (hosts,
-//! switches, flow halves, metrics, …). The flow state is passed as
-//! three separate slices because ownership differs per half in a
-//! parallel run: `hot`/`cold` belong to the sender's domain, `rx` to
-//! the receiver's (see `crate::transport`).
+//! switches, flow halves, metrics, …) and the executing event's key.
+//! The flow state is passed as three separate slices because ownership
+//! differs per half in a parallel run: `hot`/`cold` belong to the
+//! sender's domain, `rx` to the receiver's (see `crate::transport`).
+//!
+//! Transmit completions ([`Event::PortFree`], [`Event::HostTxFree`]) are
+//! lazy: a transmit stamps the completion's key but schedules it only
+//! when something waits to go next (see [`TxState`]). An idle
+//! transmitter therefore costs no event, while every event still gets
+//! the key, and so the order, it would get if each completion were
+//! pushed eagerly.
 
 use crate::cbr::CbrSource;
 use crate::crosspoint::encode_hop;
-use crate::event::{Event, EventQueue, NodeId, PacketId};
+use crate::event::{Event, EventQueue, Key, NodeId, PacketId};
 use crate::faults::{FaultKind, FaultSpec};
 use crate::host::Host;
 use crate::metrics::Metrics;
@@ -40,6 +47,7 @@ use crate::transport::{FlowCold, FlowHot, FlowRx, TransportConsts};
 use crate::world::SamplerSpec;
 use crate::SimConfig;
 use occamy_core::{BufferManager, DropReason, Verdict};
+use std::collections::VecDeque;
 
 /// The event environment: where handlers schedule events, redeem
 /// interned packets and translate global component ids into storage
@@ -51,6 +59,11 @@ pub(crate) trait Env {
     fn push_timer(&mut self, at: Ps, ev: Event);
     /// Interns `pkt` and schedules its arrival at `node`.
     fn push_arrival(&mut self, at: Ps, node: NodeId, pkt: Packet);
+    /// Assigns the key a push at `at` would get now, scheduling nothing
+    /// (see [`EventQueue::stamp`]).
+    fn stamp(&mut self, at: Ps) -> Key;
+    /// Schedules a domain-local `ev` under a key from [`Env::stamp`].
+    fn arm_keyed(&mut self, key: Key, ev: Event);
     /// Redeems an [`Event::Arrive`] packet handle.
     fn take_packet(&mut self, id: PacketId) -> Packet;
     /// Storage index of host `h`.
@@ -81,6 +94,16 @@ impl Env for EventQueue {
     #[inline]
     fn push_arrival(&mut self, at: Ps, node: NodeId, pkt: Packet) {
         EventQueue::push_arrival(self, at, node, pkt);
+    }
+
+    #[inline]
+    fn stamp(&mut self, at: Ps) -> Key {
+        EventQueue::stamp(self, at)
+    }
+
+    #[inline]
+    fn arm_keyed(&mut self, key: Key, ev: Event) {
+        EventQueue::arm_keyed(self, key, ev);
     }
 
     #[inline]
@@ -121,6 +144,8 @@ impl Env for EventQueue {
 pub(crate) struct Ctx<'a> {
     /// Current simulation time (updated per executed event).
     pub now: Ps,
+    /// Key of the executing event (lazy completions compare against it).
+    pub key: Key,
     /// Global configuration.
     pub cfg: &'a SimConfig,
     /// Cached transport constants.
@@ -173,12 +198,79 @@ pub(crate) fn event_domain(
     }
 }
 
-/// Executes one event at time `t`.
+/// Serialization state of one transmitter: a switch egress port or a
+/// host NIC.
+///
+/// A transmit stamps its completion's key at once, exactly as an eager
+/// push would, so every other event keeps its key. The completion event
+/// itself is armed only when something waits to go next: at transmit if
+/// the transmitter's queues are non-empty, else by the first pump that
+/// finds the transmitter busy with a backlog. A pump whose event comes
+/// after the stored key finds the transmitter free — the state an eager
+/// completion that sent nothing would have left.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TxState {
+    /// A packet is serializing, or its unarmed completion has passed
+    /// unobserved.
+    busy: bool,
+    /// The completion event is scheduled.
+    armed: bool,
+    /// Key of the last transmit's completion.
+    done: Key,
+}
+
+impl TxState {
+    /// Whether the transmitter may start a packet during the event with
+    /// key `now`. A busy transmitter whose completion is still ahead
+    /// arms it as `done_event` if `backlog` says a packet waits.
+    #[inline]
+    fn free<E: Env>(&mut self, env: &mut E, now: Key, backlog: bool, done_event: Event) -> bool {
+        if !self.busy {
+            return true;
+        }
+        if self.armed {
+            return false;
+        }
+        if self.done > now {
+            if backlog {
+                self.armed = true;
+                env.arm_keyed(self.done, done_event);
+            }
+            return false;
+        }
+        self.busy = false;
+        true
+    }
+
+    /// Starts a transmit that completes at `at`, arming the completion
+    /// as `done_event` only if `backlog`.
+    #[inline]
+    fn start<E: Env>(&mut self, env: &mut E, at: Ps, backlog: bool, done_event: Event) {
+        self.busy = true;
+        self.armed = backlog;
+        self.done = env.stamp(at);
+        if backlog {
+            env.arm_keyed(self.done, done_event);
+        }
+    }
+
+    /// The armed completion event executed.
+    #[inline]
+    fn complete(&mut self) {
+        self.busy = false;
+        self.armed = false;
+    }
+}
+
+/// Executes one event, scheduled under `key`.
 #[inline]
-pub(crate) fn execute_event<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, t: Ps, ev: Event) {
+pub(crate) fn execute_event<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, key: Key, ev: Event) {
+    let t = key.0;
     debug_assert!(t >= ctx.now, "time went backwards");
     ctx.now = t;
+    ctx.key = key;
     ctx.metrics.events_processed += 1;
+    ctx.metrics.events_by_kind[ev.kind()] += 1;
     match ev {
         Event::Arrive { node, pkt } => {
             let pkt = env.take_packet(pkt);
@@ -190,20 +282,24 @@ pub(crate) fn execute_event<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, t: Ps, ev: E
         Event::PortFree { switch, port } => {
             let ls = env.switch_idx(switch);
             let port = port as usize;
-            ctx.switches[ls].ports[port].tx_busy = false;
-            pump_port(
+            ctx.switches[ls].ports[port].tx.complete();
+            if !pump_port(
                 &mut ctx.switches[ls],
                 env,
                 ctx.cfg.cell_bytes,
-                t,
+                key,
                 switch,
                 port,
-            );
+            ) {
+                ctx.metrics.idle_port_frees += 1;
+            }
         }
         Event::HostTxFree { host } => {
             let lh = env.host_idx(host);
-            ctx.hosts[lh].tx_busy = false;
-            host_pump(ctx, env, host);
+            ctx.hosts[lh].tx.complete();
+            if !host_pump(ctx, env, host) {
+                ctx.metrics.idle_host_tx_frees += 1;
+            }
         }
         Event::ExpelRetry { switch, partition } => {
             let ls = env.switch_idx(switch);
@@ -299,14 +395,18 @@ fn host_rx<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gh: u32, pkt: Packet) {
     }
 }
 
-fn host_pump<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gh: u32) {
+/// Transmits the host's next packet if its NIC is free; returns whether
+/// a packet left.
+fn host_pump<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gh: u32) -> bool {
     let lh = env.host_idx(gh);
-    if ctx.hosts[lh].tx_busy {
-        return;
+    let host = &mut ctx.hosts[lh];
+    let done = Event::HostTxFree { host: gh };
+    if !host.tx.free(env, ctx.key, host.has_backlog(), done) {
+        return false;
     }
     let now = ctx.now;
     let Some(pkt) = ctx.hosts[lh].next_packet(ctx.hot, now, ctx.consts) else {
-        return;
+        return false;
     };
     if pkt.kind == PacketKind::Data {
         arm_rto(ctx, env, pkt.flow);
@@ -319,8 +419,8 @@ fn host_pump<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gh: u32) {
     let host = &mut ctx.hosts[lh];
     let link = host.link;
     let ser = tx_time_ps(pkt.wire_bytes(), link.rate_bps);
-    host.tx_busy = true;
-    env.push(now + ser, Event::HostTxFree { host: gh });
+    let backlog = host.has_backlog();
+    host.tx.start(env, now + ser, backlog, done);
     let mut pkt = pkt;
     pkt.last_hop = encode_hop(NodeId::Host(gh));
     env.push_arrival(
@@ -328,6 +428,7 @@ fn host_pump<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gh: u32) {
         NodeId::switch(link.to_switch),
         pkt,
     );
+    true
 }
 
 fn arm_rto<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, flow: FlowId) {
@@ -339,7 +440,7 @@ fn arm_rto<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, flow: FlowId) {
     f.rto_deadline = deadline;
     if !f.timer_armed() {
         f.set_timer_armed(true);
-        // Timers live on the wheel, not the packet heap.
+        // Milliseconds out: the wheel's far heap, off the packet path.
         env.push_timer(deadline, Event::Rto { flow });
     }
 }
@@ -431,7 +532,7 @@ fn switch_rx<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gs: u32, mut pkt: Packet) {
     if sw.xp.is_some() {
         // Crosspoint-queued switch: a parallel data path with no shared
         // buffer, no admission policy and no class queues.
-        xp_rx(sw, env, ctx.metrics, ecn_k, now, gs, port, pkt);
+        xp_rx(sw, env, ctx.metrics, ecn_k, ctx.key, gs, port, pkt);
         return;
     }
     let class = (pkt.prio as usize).min(sw.classes - 1);
@@ -449,7 +550,7 @@ fn switch_rx<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gs: u32, mut pkt: Packet) {
     match part.bm.admit(qidx, wire, &part.state) {
         Verdict::Accept => {
             enqueue_in(sw, pa, port, class, qidx, pkt, ecn_k, now_ns);
-            pump_port(sw, env, cell, now, gs, port);
+            pump_port(sw, env, cell, ctx.key, gs, port);
             if sw.partitions[pa].reactive {
                 try_expel_in(sw, env, ctx.metrics, cell, now, gs, pa);
             }
@@ -469,7 +570,7 @@ fn switch_rx<E: Env>(ctx: &mut Ctx<'_>, env: &mut E, gs: u32, mut pkt: Packet) {
             }
             if sw.partitions[pa].state.free() >= wire {
                 enqueue_in(sw, pa, port, class, qidx, pkt, ecn_k, now_ns);
-                pump_port(sw, env, cell, now, gs, port);
+                pump_port(sw, env, cell, ctx.key, gs, port);
             } else {
                 record_drop_in(sw, ctx.metrics, pa, now_ns, false);
             }
@@ -579,12 +680,12 @@ fn xp_rx<E: Env>(
     env: &mut E,
     metrics: &mut Metrics,
     ecn_k: u64,
-    now: Ps,
+    key: Key,
     gs: u32,
     port: usize,
     mut pkt: Packet,
 ) {
-    let now_ns = ps_to_ns(now);
+    let now_ns = ps_to_ns(key.0);
     let membw = sw.membw_util(now_ns);
     if sw.draining {
         let xp = sw.xp.as_ref().expect("xp_rx on a shared-memory switch");
@@ -613,22 +714,25 @@ fn xp_rx<E: Env>(
     }
     xp.queues[idx].push_back(pkt);
     sw.write_rate.record(wire, now_ns);
-    xp_pump_port(sw, env, now, gs, port);
+    xp_pump_port(sw, env, key, gs, port);
 }
 
 /// Crosspoint-switch transmit: the output's crosspoint scheduler picks
 /// an input, the head packet leaves, and the next hop is stamped.
-fn xp_pump_port<E: Env>(sw: &mut Switch, env: &mut E, now: Ps, gs: u32, port: usize) {
-    if sw.ports[port].tx_busy {
-        return;
-    }
-    let now_ns = ps_to_ns(now);
+/// Returns whether a packet left.
+fn xp_pump_port<E: Env>(sw: &mut Switch, env: &mut E, key: Key, gs: u32, port: usize) -> bool {
     let xp = sw
         .xp
         .as_mut()
         .expect("xp_pump_port on a shared-memory switch");
+    let done = port_free(gs, port);
+    if !sw.ports[port].tx.free(env, key, xp.out_occ[port] > 0, done) {
+        return false;
+    }
+    let now = key.0;
+    let now_ns = ps_to_ns(now);
     let Some(inp) = xp.pick(port) else {
-        return;
+        return false;
     };
     let idx = xp.xp(port, inp);
     let mut pkt = xp.queues[idx]
@@ -638,36 +742,50 @@ fn xp_pump_port<E: Env>(sw: &mut Switch, env: &mut E, now: Ps, gs: u32, port: us
     xp.occ[idx] -= wire;
     xp.out_occ[port] -= wire;
     xp.total -= wire;
+    let backlog = xp.out_occ[port] > 0;
     sw.read_rate.record(wire, now_ns);
     let p = &mut sw.ports[port];
     let link = p.link;
-    p.tx_busy = true;
     let ser = tx_time_ps(wire, link.rate_bps);
-    env.push(
-        now + ser,
-        Event::PortFree {
-            switch: gs,
-            port: port as u32,
-        },
-    );
+    p.tx.start(env, now + ser, backlog, done);
     pkt.last_hop = encode_hop(NodeId::Switch(gs));
     env.push_arrival(now + ser + link.prop_ps, link.to, pkt);
+    true
 }
 
-/// Dequeues and transmits the scheduler's pick on an idle egress port.
-/// `gs` is the switch's global id (event payloads always carry global
-/// ids); `sw` is its already-resolved storage slot.
-fn pump_port<E: Env>(sw: &mut Switch, env: &mut E, cell: u64, now: Ps, gs: u32, port: usize) {
+/// The completion event of switch `gs`'s `port`.
+#[inline]
+fn port_free(gs: u32, port: usize) -> Event {
+    Event::PortFree {
+        switch: gs,
+        port: port as u32,
+    }
+}
+
+/// Dequeues and transmits the scheduler's pick on an idle egress port;
+/// returns whether a packet left. `gs` is the switch's global id (event
+/// payloads always carry global ids); `sw` is its already-resolved
+/// storage slot; `key` is the executing event's.
+fn pump_port<E: Env>(
+    sw: &mut Switch,
+    env: &mut E,
+    cell: u64,
+    key: Key,
+    gs: u32,
+    port: usize,
+) -> bool {
     if sw.xp.is_some() {
-        return xp_pump_port(sw, env, now, gs, port);
+        return xp_pump_port(sw, env, key, gs, port);
     }
-    if sw.ports[port].tx_busy {
-        return;
-    }
-    let now_ns = ps_to_ns(now);
     let p = &mut sw.ports[port];
+    let done = port_free(gs, port);
+    if !p.tx.free(env, key, has_queued(&p.queues), done) {
+        return false;
+    }
+    let now = key.0;
+    let now_ns = ps_to_ns(now);
     let Some(class) = p.sched.pick(&p.queues) else {
-        return;
+        return false;
     };
     let mut pkt = p.queues[class]
         .pop_front()
@@ -686,17 +804,18 @@ fn pump_port<E: Env>(sw: &mut Switch, env: &mut E, cell: u64, now: Ps, gs: u32, 
     sw.read_rate.record(wire, now_ns);
     let p = &mut sw.ports[port];
     let link = p.link;
-    p.tx_busy = true;
     let ser = tx_time_ps(wire, link.rate_bps);
-    env.push(
-        now + ser,
-        Event::PortFree {
-            switch: gs,
-            port: port as u32,
-        },
-    );
+    let backlog = has_queued(&p.queues);
+    p.tx.start(env, now + ser, backlog, done);
     pkt.last_hop = encode_hop(NodeId::Switch(gs));
     env.push_arrival(now + ser + link.prop_ps, link.to, pkt);
+    true
+}
+
+/// Whether any class queue of a port holds a packet.
+#[inline]
+fn has_queued(queues: &[VecDeque<Packet>]) -> bool {
+    queues.iter().any(|q| !q.is_empty())
 }
 
 /// Occamy's reactive expulsion loop over one partition.
@@ -854,6 +973,88 @@ fn flush_port(sw: &mut Switch, metrics: &mut Metrics, port: usize, now_ns: u64) 
                 .expect("queue accounting out of sync");
             part.bm.on_dequeue(qidx, wire, now_ns, &part.state);
             record_fault_drop_in(sw, metrics, pa, now_ns);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topology::{single_switch, BmSpec, SchedKind, SingleSwitchCfg};
+    use occamy_core::BmKind;
+
+    /// Admits a raw packet for host 1 into `sw` and returns its port.
+    fn enqueue_for_host1(sw: &mut Switch) -> usize {
+        let pkt = Packet::raw(0, 0, 1, 1_000, 0, 0);
+        let port = sw.routing.port_for(1, 0);
+        let (pa, qidx) = (sw.port_partition[port], sw.queue_index(port, 0));
+        enqueue_in(sw, pa, port, 0, qidx, pkt, u64::MAX, 0);
+        port
+    }
+
+    /// Times of the host-bound arrivals left in `q`, after executing
+    /// every completion of `sw`'s ports found on the way.
+    fn departures(sw: &mut Switch, q: &mut EventQueue, cell: u64) -> (Vec<Ps>, u64) {
+        let (mut arrivals, mut completions) = (Vec::new(), 0);
+        while let Some((key, ev)) = q.pop_keyed(Ps::MAX) {
+            match ev {
+                Event::Arrive { pkt, .. } => {
+                    q.take_packet(pkt);
+                    arrivals.push(key.0);
+                }
+                Event::PortFree { port, .. } => {
+                    completions += 1;
+                    sw.ports[port as usize].tx.complete();
+                    assert!(pump_port(sw, q, cell, key, 0, port as usize));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        (arrivals, completions)
+    }
+
+    #[test]
+    fn an_arrival_tying_the_stored_completion_orders_by_key() {
+        for arrival_first in [true, false] {
+            let mut world = single_switch(SingleSwitchCfg {
+                host_rates_bps: vec![10_000_000_000; 2],
+                prop_ps: 1_000_000,
+                buffer_bytes: 400_000,
+                classes: 1,
+                bm: BmSpec::uniform(BmKind::Dt, 1.0),
+                sched: SchedKind::Fifo,
+                sim: SimConfig::default(),
+            });
+            let cell = world.cfg.cell_bytes;
+            let mut sw = world.switches.swap_remove(0);
+            let mut q = EventQueue::new();
+            // A lone packet leaves at 0: its completion is stamped, not
+            // scheduled, because nothing waits behind it.
+            let k0 = q.stamp(0);
+            let port = enqueue_for_host1(&mut sw);
+            assert!(pump_port(&mut sw, &mut q, cell, k0, 0, port));
+            let done = sw.ports[port].tx.done;
+            assert!(!sw.ports[port].tx.armed);
+            // A second packet arrives at exactly the completion time,
+            // keyed just before or just after the stored key.
+            let tag = if arrival_first {
+                done.1 - 1
+            } else {
+                done.1 + 1
+            };
+            let k1 = (done.0, tag);
+            enqueue_for_host1(&mut sw);
+            let sent = pump_port(&mut sw, &mut q, cell, k1, 0, port);
+            // Before the key the port is still busy and arms the
+            // completion; after it the port is free and sends at once.
+            assert_eq!(sent, !arrival_first);
+            assert_eq!(sw.ports[port].tx.armed, arrival_first);
+            let (arrivals, completions) = departures(&mut sw, &mut q, cell);
+            assert_eq!(completions, u64::from(arrival_first));
+            // Either way the second packet departs at the completion
+            // time, one serialization after the first.
+            let prop = sw.ports[port].link.prop_ps;
+            assert_eq!(arrivals, vec![done.0 + prop, 2 * done.0 + prop]);
         }
     }
 }

@@ -1,5 +1,5 @@
 //! The event queue: a time-ordered queue with deterministic
-//! tie-breaking, backed by a hierarchical timer wheel.
+//! tie-breaking, backed by a near-window timer wheel.
 //!
 //! The queue is built for event-loop throughput (profiles of the figure
 //! sweeps showed queue maintenance dominating wall clock):
@@ -10,18 +10,21 @@
 //!   making the steady-state loop allocation-free.
 //! - **Compact events**: indices are `u32`; periodic samplers live in the
 //!   world and are referenced by id.
-//! - **A timer wheel** ([`crate::timer::TimerWheel`]) instead of a
-//!   binary heap. A simulator's pushes are near-future, which is a
-//!   min-heap's worst case (every push sifts to near the root), and
-//!   transport runs keeping tens of thousands of pending `Rto` timers
-//!   made the heap deep for every packet event. The wheel buckets
-//!   entries by expiry tick in O(1) amortized and the run loop merges
-//!   it in via a single next-deadline probe. Retransmission timers go
-//!   through [`EventQueue::push_timer`]; their milliseconds-out
-//!   deadlines park on the wheel's high levels, off the packet path,
-//!   until the cursor approaches.
+//! - **A near-window wheel** ([`crate::timer::TimerWheel`]) instead of
+//!   a binary heap. A simulator's pushes are near-future, which is a
+//!   min-heap's worst case (every push sifts to near the root). Every
+//!   event within ≈ 16.8 µs of the wheel's cursor costs one slot
+//!   placement; farther ones (retransmission timers, via
+//!   [`EventQueue::push_timer`]) wait in a far heap off the packet path
+//!   until the window reaches them.
 //! - **A deferred lane** for the bulk of setup-time events (flow
-//!   starts): sorted once instead of cascading through the wheel.
+//!   starts): sorted once instead of passing through the wheel.
+//! - **Pre-stamped keys**: [`EventQueue::stamp`] assigns the key a push
+//!   would get without scheduling anything, and
+//!   [`EventQueue::arm_keyed`] schedules under it later. Transmit
+//!   completions use this to be scheduled only when there is a next
+//!   packet to send (see `crate::engine`), with the key they would
+//!   have had if pushed eagerly.
 //!
 //! Events at equal timestamps pop by their canonical key
 //! `(time, origin domain, per-domain seq)` regardless of lane (wheel or
@@ -131,6 +134,37 @@ pub enum Event {
     },
 }
 
+impl Event {
+    /// Names of the event kinds, indexed by [`Event::kind`].
+    pub const KIND_NAMES: [&'static str; 9] = [
+        "arrive",
+        "port_free",
+        "host_tx_free",
+        "expel_retry",
+        "rto",
+        "flow_start",
+        "cbr_emit",
+        "sample",
+        "fault",
+    ];
+
+    /// This event's kind, as an index into [`Event::KIND_NAMES`].
+    #[inline]
+    pub fn kind(&self) -> usize {
+        match self {
+            Event::Arrive { .. } => 0,
+            Event::PortFree { .. } => 1,
+            Event::HostTxFree { .. } => 2,
+            Event::ExpelRetry { .. } => 3,
+            Event::Rto { .. } => 4,
+            Event::FlowStart { .. } => 5,
+            Event::CbrEmit { .. } => 6,
+            Event::Sample { .. } => 7,
+            Event::Fault { .. } => 8,
+        }
+    }
+}
+
 /// Slab of in-flight packets, recycled through a free list.
 ///
 /// `pub(crate)` because the parallel executor gives every event domain
@@ -164,7 +198,7 @@ impl PacketPool {
 }
 
 /// Queue ordering key: `(time, origin << 48 | per-domain seq)`.
-pub(crate) use crate::timer::Key;
+pub use crate::timer::Key;
 
 /// Bit position of the origin domain in a key's tie-break word.
 const ORIGIN_SHIFT: u32 = 48;
@@ -201,9 +235,11 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Assigns the next key at time `at` for the current origin.
+    /// Assigns the next key at time `at` for the current origin,
+    /// exactly as [`EventQueue::push`] would, without scheduling
+    /// anything. Schedule under it later with [`EventQueue::arm_keyed`].
     #[inline]
-    pub(crate) fn stamp(&mut self, at: Ps) -> Key {
+    pub fn stamp(&mut self, at: Ps) -> Key {
         let tag = self.next_tag;
         self.next_tag += 1;
         debug_assert!(self.next_tag >> ORIGIN_SHIFT == self.origin as u64);
@@ -254,6 +290,15 @@ impl EventQueue {
         self.wheel.arm(key, event);
     }
 
+    /// Schedules `event` under a key assigned earlier by
+    /// [`EventQueue::stamp`] on this queue's origin (or moved here with
+    /// its key). The key may lie behind events already popped; it then
+    /// pops next, in key order.
+    #[inline]
+    pub fn arm_keyed(&mut self, key: Key, event: Event) {
+        self.wheel.arm(key, event);
+    }
+
     /// Schedules a setup-time event (e.g. a flow start) on the deferred
     /// lane: bulk-sorted once instead of paying heap maintenance on the
     /// hot path. Ordering relative to [`EventQueue::push`] events is
@@ -268,7 +313,7 @@ impl EventQueue {
 
     /// Schedules a timer event (an [`Event::Rto`]). Identical to
     /// [`EventQueue::push`] — the wheel places any entry by its
-    /// deadline, so a milliseconds-out timer lands on a high level and
+    /// deadline, so a milliseconds-out timer waits in the far heap and
     /// stays clear of the packet path with no separate lane needed.
     /// The distinct name keeps timer call sites greppable and gives
     /// timers a seam should they ever need different handling again.
@@ -316,25 +361,16 @@ impl EventQueue {
     /// [`EventQueue::pop_at_most`], returning the event's key.
     pub(crate) fn pop_keyed(&mut self, limit: Ps) -> Option<(Key, Event)> {
         self.settle_deferred();
-        // Pick the lane holding the minimum key. The wheel probe is
-        // O(1) once its ready buffer is filled.
-        let w = self.wheel.peek();
-        let from_deferred = match (self.deferred.last(), w) {
-            (Some(d), Some(wk)) => d.0 < wk,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if from_deferred {
-            if self.deferred.last()?.0 .0 > limit {
-                return None;
-            }
-            self.deferred.pop()
-        } else {
-            if w?.0 > limit {
-                return None;
-            }
-            self.wheel.pop()
+        // Keys are unique across lanes: the wheel serves its minimum if
+        // it comes before the deferred lane's and is due by `limit`.
+        let deferred = self.deferred.last().map(|d| d.0);
+        let bound = deferred.map_or((limit, u64::MAX), |d| d.min((limit, u64::MAX)));
+        if let Some(e) = self.wheel.pop_at_most(bound) {
+            return Some(e);
+        }
+        match deferred {
+            Some(d) if d.0 <= limit => self.deferred.pop(),
+            _ => None,
         }
     }
 
@@ -364,7 +400,7 @@ impl EventQueue {
     /// Schedules a packet arrival under an already-assigned key.
     pub(crate) fn arm_arrival(&mut self, key: Key, node: NodeId, pkt: Packet) {
         let pkt = self.pool.insert(pkt);
-        self.wheel.arm(key, Event::Arrive { node, pkt });
+        self.arm_keyed(key, Event::Arrive { node, pkt });
     }
 
     /// Re-arms an entry popped from `src` under its key, moving an
@@ -372,7 +408,7 @@ impl EventQueue {
     pub(crate) fn adopt(&mut self, src: &mut EventQueue, key: Key, event: Event) {
         match event {
             Event::Arrive { node, pkt } => self.arm_arrival(key, node, src.take_packet(pkt)),
-            other => self.wheel.arm(key, other),
+            other => self.arm_keyed(key, other),
         }
     }
 }
@@ -541,8 +577,9 @@ mod tests {
     #[test]
     fn scheduled_nodes_are_compact() {
         // The point of interning and the u32 NodeId: a wheel entry is
-        // (16-byte key, 16-byte event) — cascades and slot drains move
-        // two aligned halves, not a cache-line-straddling payload.
+        // (16-byte key, 16-byte event) — slab nodes, heap entries and
+        // slot drains move two aligned halves, not a cache-line-
+        // straddling payload.
         assert!(
             std::mem::size_of::<Event>() <= 16,
             "Event grew to {} bytes",

@@ -1,5 +1,6 @@
 //! End hosts: a NIC with ACK-first service and round-robin flow pulling.
 
+use crate::engine::TxState;
 use crate::packet::{FlowId, Packet};
 use crate::time::Ps;
 use crate::transport::{FlowHot, TransportConsts};
@@ -32,8 +33,8 @@ pub struct Host {
     pub id: usize,
     /// Uplink to the access switch.
     pub link: HostLink,
-    /// Whether the NIC is mid-serialization.
-    pub tx_busy: bool,
+    /// Serialization state and the pending completion.
+    pub(crate) tx: TxState,
     /// Whether the host is attached to the fabric. A dead host (fault
     /// injection's `HostLeave`) neither transmits nor receives until it
     /// rejoins.
@@ -52,7 +53,7 @@ impl Host {
         Host {
             id,
             link,
-            tx_busy: false,
+            tx: TxState::default(),
             alive: true,
             ack_queue: VecDeque::new(),
             cbr_queue: VecDeque::new(),

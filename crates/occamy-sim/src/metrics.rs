@@ -1,5 +1,6 @@
 //! Simulation-wide measurement collection.
 
+use crate::event::Event;
 use crate::time::Ps;
 
 /// One periodic sample of a buffer partition (paper Fig. 11 time
@@ -165,6 +166,15 @@ pub struct Metrics {
     /// Events executed by [`crate::World::step`] — the denominator of the
     /// simulator's events/sec throughput metric.
     pub events_processed: u64,
+    /// Executed events per kind, indexed by [`Event::kind`]. Like
+    /// `events_processed`, a measure of the simulator's own work: it
+    /// moves when scheduling changes, so reports keep it out of their
+    /// frozen outputs.
+    pub events_by_kind: [u64; Event::KIND_NAMES.len()],
+    /// Executed [`Event::PortFree`]s that found nothing to transmit.
+    pub idle_port_frees: u64,
+    /// Executed [`Event::HostTxFree`]s that found nothing to transmit.
+    pub idle_host_tx_frees: u64,
     /// Fault events executed (link flaps, drains, host churn).
     pub faults_fired: u64,
     /// Packets dropped because of faults: port flushes on link-down,

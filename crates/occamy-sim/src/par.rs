@@ -128,6 +128,16 @@ impl Env for DomainQueue {
     }
 
     #[inline]
+    fn stamp(&mut self, at: Ps) -> Key {
+        self.events.stamp(at)
+    }
+
+    #[inline]
+    fn arm_keyed(&mut self, key: Key, ev: Event) {
+        self.events.arm_keyed(key, ev);
+    }
+
+    #[inline]
     fn take_packet(&mut self, id: PacketId) -> Packet {
         self.events.take_packet(id)
     }
@@ -438,6 +448,16 @@ pub(crate) fn run_parallel(world: &mut World, limit: Ps) -> ParStats {
         world.metrics.delivered_pkts += m.delivered_pkts;
         world.metrics.delivered_bytes += m.delivered_bytes;
         world.metrics.events_processed += m.events_processed;
+        for (acc, n) in world
+            .metrics
+            .events_by_kind
+            .iter_mut()
+            .zip(m.events_by_kind)
+        {
+            *acc += n;
+        }
+        world.metrics.idle_port_frees += m.idle_port_frees;
+        world.metrics.idle_host_tx_frees += m.idle_host_tx_frees;
         world.metrics.faults_fired += m.faults_fired;
         world.metrics.fault_drops += m.fault_drops;
         for (acc, c) in world.metrics.cbr.iter_mut().zip(&m.cbr) {
@@ -545,6 +565,7 @@ fn run_shard_window(
     }
     let mut ctx = Ctx {
         now: store.now,
+        key: (store.now, 0),
         cfg,
         consts,
         hosts: &mut store.hosts,
@@ -559,7 +580,7 @@ fn run_shard_window(
     };
     while let Some((key, ev)) = q.events.pop_keyed(hi) {
         let d0 = ctx.metrics.drop_buffer_util.len();
-        execute_event(&mut ctx, q, key.0, ev);
+        execute_event(&mut ctx, q, key, ev);
         let n = ctx.metrics.drop_buffer_util.len() - d0;
         drop_keys.extend(std::iter::repeat(key).take(n));
     }

@@ -1,6 +1,7 @@
 //! The shared-memory switch: ports, class queues, buffer partitions.
 
 use crate::crosspoint::Crosspoint;
+use crate::engine::TxState;
 use crate::event::NodeId;
 use crate::packet::Packet;
 use crate::routing::RoutingTable;
@@ -29,8 +30,8 @@ pub struct SwitchPort {
     pub queues: Vec<VecDeque<Packet>>,
     /// Class scheduler.
     pub sched: Scheduler,
-    /// Whether the port is mid-serialization.
-    pub tx_busy: bool,
+    /// Serialization state and the pending completion.
+    pub(crate) tx: TxState,
 }
 
 /// A shared-buffer partition: the unit over which one BM instance runs.
@@ -158,7 +159,7 @@ mod tests {
                 },
                 queues: (0..classes).map(|_| VecDeque::new()).collect(),
                 sched: Scheduler::Fifo,
-                tx_busy: false,
+                tx: TxState::default(),
             })
             .collect();
         Switch {

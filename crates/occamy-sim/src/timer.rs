@@ -1,93 +1,125 @@
-//! A hierarchical timer wheel — the event queue's scheduling core.
+//! The event queue's scheduling core: a flat near window over the next
+//! ≈ 16.8 µs of simulated time, backed by a key-ordered far heap.
 //!
 //! A discrete-event simulator pushes *near-future* events: a
-//! serialization completion a few hundred ns out, an arrival one link
-//! propagation away, a retransmission timer milliseconds ahead. On a
-//! min-heap a near-minimum key is the worst case — every push sifts to
-//! near the root, every pop sifts the full depth, and transport-heavy
-//! runs keeping tens of thousands of pending RTO timers make that depth
-//! O(flows). The wheel turns both operations into O(1) amortized
-//! bucketing: an entry lands in a slot indexed by its expiry tick,
-//! levels cover geometrically growing horizons, and entries cascade
-//! toward level 0 as the cursor advances. The main loop sees the wheel
-//! through a single next-deadline probe ([`TimerWheel::peek`]).
+//! serialization completion a few ns out, an arrival one link
+//! propagation away (10 µs in the paper's §6.4 fabrics), a
+//! retransmission timer milliseconds ahead. The near window turns the
+//! first two into one O(1) placement each: an entry whose tick (its time
+//! in 2¹² ps ≈ 4.1 ns units) satisfies `cursor < tick < cursor + SLOTS`
+//! is linked into slot `tick mod SLOTS`, and stays there until the
+//! cursor reaches that tick. The window is relative to the cursor, not
+//! aligned to a power of two, so an arrival never crosses a level
+//! boundary: there are no levels and nothing cascades.
+//!
+//! - **Storage.** Entries live in one slab of `(key, event, next)`
+//!   nodes with an intrusive free list; a slot is a `u32` list head.
+//!   A 64-word occupancy bitmap and a summary word find the next
+//!   occupied slot in a few instructions. No slot owns a buffer, so
+//!   memory tracks the peak pending count and nothing is ever shrunk.
+//! - **Drain.** The cursor's slot is moved into `ready` and sorted by
+//!   full key; the run loop pops from its end.
+//! - **Far lane.** Entries at or beyond the window (RTO timers, slow
+//!   links, long CBR intervals) wait in a binary heap ordered by key and
+//!   migrate into the window as the cursor advances. A link slower
+//!   than the span is still exact: its arrivals take this lane.
 //!
 //! **Ordering is exact, not approximate.** Every entry keeps its full
-//! [`Key`]: slots only bucket entries, and whichever
-//! bucket the cursor drains next is sorted before it is served. Merged
-//! against the deferred lane by key, runs remain bit-for-bit identical
-//! to a heap-backed queue — pinned by the fire-order proptest in
-//! `tests/timer_wheel.rs` and the golden/shard byte-identity gates.
-//!
-//! Geometry: level-0 slots are 2¹² ps ≈ 4.1 ns wide (below one packet
-//! serialization time at 100 G, so packet-event buckets hold a few
-//! entries), each of the 6 levels has 64 slots, and the wheel spans
-//! 2⁴⁸ ps ≈ 281 s from the cursor — beyond the 60 s RTO cap even with
-//! backoff. Entries past the span (arbitrary far-future events are
-//! legal) fall into a lazily sorted overflow lane that is popped
-//! directly, like the deferred lane.
+//! [`Key`]: slots only bucket entries, and a drained slot is sorted
+//! before it is served. Merged against the deferred lane by key, runs
+//! are bit-for-bit identical to a heap-backed queue — pinned by the
+//! fire-order proptest in `tests/timer_wheel.rs` and the golden/shard
+//! byte-identity gates.
 
 use crate::event::Event;
 use crate::time::Ps;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Queue ordering key: `(time, origin << 48 | per-domain seq)`, the
-/// canonical tie-break of [`crate::event`] (origin domain first, then
+/// canonical tie-break of [`crate::EventQueue`] (origin domain first, then
 /// that domain's push order). Every lane and every domain's queue
 /// orders by the same key, so ties break identically everywhere; the
 /// wheel itself only compares keys.
-pub(crate) type Key = (Ps, u64);
+pub type Key = (Ps, u64);
 
-/// log2 of the level-0 slot width in picoseconds (≈ 4.1 ns).
+/// log2 of a slot's width in picoseconds (≈ 4.1 ns, below one packet
+/// serialization time at 100 G).
 const GRAN_BITS: u32 = 12;
-/// log2 of the slot count per level.
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Slot-index mask.
-const MASK: u64 = SLOTS as u64 - 1;
-/// Capacity (entries) an emptied slot above level 1 keeps.
-const PARKED_CAP: usize = 64;
-/// Wheel levels; total span is `2^(GRAN_BITS + LEVELS·SLOT_BITS)` ps.
-const LEVELS: usize = 6;
+/// Slots in the near window: it spans `SLOTS << GRAN_BITS` ps ≈ 16.8 µs.
+const SLOTS: u64 = 1 << 12;
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
-/// Hierarchical timer wheel holding `(key, event)` entries.
+/// One pending entry of the near window.
+struct Node {
+    key: Key,
+    event: Event,
+    /// Next node of the same slot (or of the free list).
+    next: u32,
+}
+
+/// A far-lane entry; the heap is a max-heap, so it orders by reversed key.
+struct Far(Key, Event);
+
+impl PartialEq for Far {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for Far {}
+
+impl PartialOrd for Far {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Far {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.cmp(&self.0)
+    }
+}
+
+/// Near-window timer wheel holding `(key, event)` entries.
 ///
-/// All mutating accessors keep one invariant: every entry still sitting
-/// in a slot expires at a tick strictly greater than `cursor`, and its
-/// level is the highest 6-bit tick group in which its tick differs from
-/// the cursor's. Entries at or before the cursor live in `ready`
+/// Invariant: every entry linked into a slot has a tick in
+/// `(cursor, cursor + SLOTS)`, every far entry a tick at or beyond
+/// `cursor + SLOTS`, and entries at or before the cursor sit in `ready`
 /// (sorted descending, popped from the end).
 pub(crate) struct TimerWheel {
-    /// `levels[l][slot]` holds entries whose tick differs from the
-    /// cursor's first in bit group `l`.
-    levels: Vec<Vec<Vec<(Key, Event)>>>,
-    /// Absolute level-0 tick the wheel has advanced to.
+    /// Absolute tick of the last drained slot.
     cursor: u64,
+    /// List head of each slot (`NIL` when empty).
+    heads: Box<[u32]>,
+    /// Bit `j` of word `w` set ⟺ slot `64·w + j` is non-empty.
+    occ: [u64; 64],
+    /// Bit `w` set ⟺ `occ[w] != 0`.
+    summary: u64,
+    /// Node slab; free nodes are chained through `next` from `free`.
+    nodes: Vec<Node>,
+    free: u32,
+    /// Entries linked into slots.
+    in_window: usize,
     /// Entries due at or before the cursor, sorted descending by key.
     ready: Vec<(Key, Event)>,
-    /// Entries beyond the wheel span, sorted lazily (descending).
-    overflow: Vec<(Key, Event)>,
-    overflow_dirty: bool,
-    /// Entry count across all slots (excludes `ready` and `overflow`).
-    in_slots: usize,
-    /// Per-level slot-occupancy bitmaps: bit `j` set ⟺ `levels[l][j]`
-    /// is non-empty. Advancing finds the next occupied slot with one
-    /// mask-and-`trailing_zeros` per level instead of a 64-slot scan.
-    occ: [u64; LEVELS],
+    /// Entries at or beyond the window.
+    far: BinaryHeap<Far>,
 }
 
 impl Default for TimerWheel {
     fn default() -> Self {
         TimerWheel {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
             cursor: 0,
+            heads: vec![NIL; SLOTS as usize].into_boxed_slice(),
+            occ: [0; 64],
+            summary: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            in_window: 0,
             ready: Vec::new(),
-            overflow: Vec::new(),
-            overflow_dirty: false,
-            in_slots: 0,
-            occ: [0; LEVELS],
+            far: BinaryHeap::new(),
         }
     }
 }
@@ -95,7 +127,7 @@ impl Default for TimerWheel {
 impl TimerWheel {
     /// Pending timer count.
     pub fn len(&self) -> usize {
-        self.ready.len() + self.in_slots + self.overflow.len()
+        self.ready.len() + self.in_window + self.far.len()
     }
 
     /// Whether no timers are pending.
@@ -105,164 +137,156 @@ impl TimerWheel {
 
     /// Inserts an entry. `key.0` may be at any time, including before
     /// previously drained slots (the entry then joins `ready` directly).
+    #[inline]
     pub fn arm(&mut self, key: Key, event: Event) {
         let tick = key.0 >> GRAN_BITS;
         if tick <= self.cursor {
-            // Due at or before the wheel position: merge into the ready
-            // buffer at its sorted (descending) position.
             let pos = self.ready.partition_point(|e| e.0 > key);
             self.ready.insert(pos, (key, event));
-            return;
+        } else if tick - self.cursor < SLOTS {
+            self.link(tick, key, event);
+        } else {
+            self.far.push(Far(key, event));
         }
-        let diff = tick ^ self.cursor;
-        if diff >> GRAN_DIFF_LIMIT != 0 {
-            self.overflow.push((key, event));
-            self.overflow_dirty = true;
-            return;
-        }
-        let level = level_of(diff);
-        let slot = ((tick >> (SLOT_BITS * level as u32)) & MASK) as usize;
-        self.levels[level][slot].push((key, event));
-        self.occ[level] |= 1 << slot;
-        self.in_slots += 1;
     }
 
-    /// The earliest pending key, advancing the wheel as needed.
-    pub fn peek(&mut self) -> Option<Key> {
-        let slot_min = self.ready_min();
-        let over_min = self.overflow_min();
-        match (slot_min, over_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+    /// The earliest pending key. Does not move the cursor: with `ready`
+    /// empty it scans the next occupied slot's short list.
+    pub fn peek(&self) -> Option<Key> {
+        if let Some(&(k, _)) = self.ready.last() {
+            return Some(k);
+        }
+        match self.next_tick() {
+            Some(tick) => {
+                let mut i = self.heads[(tick % SLOTS) as usize];
+                let mut min = self.nodes[i as usize].key;
+                while i != NIL {
+                    let n = &self.nodes[i as usize];
+                    min = min.min(n.key);
+                    i = n.next;
+                }
+                Some(min)
+            }
+            None => self.far.peek().map(|f| f.0),
+        }
+    }
+
+    /// Pops the earliest pending entry if its key is at or before
+    /// `bound`. The cursor only advances to a slot that can hold such
+    /// an entry, so a probe against a far-off bound leaves later arms
+    /// in the window rather than behind the cursor.
+    pub fn pop_at_most(&mut self, bound: Key) -> Option<(Key, Event)> {
+        loop {
+            if let Some(&(k, _)) = self.ready.last() {
+                return if k <= bound { self.ready.pop() } else { None };
+            }
+            let tick = match self.next_tick() {
+                Some(tick) => tick,
+                None => self.far.peek()?.0 .0 >> GRAN_BITS,
+            };
+            if tick << GRAN_BITS > bound.0 {
+                return None;
+            }
+            self.advance_to(tick);
         }
     }
 
     /// Pops the earliest pending entry.
+    #[cfg(test)]
     pub fn pop(&mut self) -> Option<(Key, Event)> {
-        let slot_min = self.ready_min();
-        let over_min = self.overflow_min();
-        match (slot_min, over_min) {
-            (None, None) => None,
-            (Some(_), None) => self.ready.pop(),
-            (None, Some(_)) => self.overflow.pop(),
-            (Some(a), Some(b)) if a < b => self.ready.pop(),
-            _ => self.overflow.pop(),
-        }
+        self.pop_at_most((Ps::MAX, u64::MAX))
     }
 
-    /// Minimum key of the slot/ready side, draining slots into `ready`
-    /// as the cursor advances.
-    fn ready_min(&mut self) -> Option<Key> {
-        loop {
-            if let Some(&(k, _)) = self.ready.last() {
-                return Some(k);
+    /// Links an entry into the slot of `tick`, which lies inside the
+    /// window.
+    #[inline]
+    fn link(&mut self, tick: u64, key: Key, event: Event) {
+        let slot = (tick % SLOTS) as usize;
+        let node = Node {
+            key,
+            event,
+            next: self.heads[slot],
+        };
+        let i = if self.free == NIL {
+            self.nodes.push(node);
+            self.nodes.len() - 1
+        } else {
+            let i = self.free as usize;
+            self.free = self.nodes[i].next;
+            self.nodes[i] = node;
+            i
+        };
+        self.heads[slot] = i as u32;
+        self.occ[slot >> 6] |= 1 << (slot & 63);
+        self.summary |= 1 << (slot >> 6);
+        self.in_window += 1;
+    }
+
+    /// Tick of the earliest occupied slot: the first set bit at or after
+    /// the slot following the cursor's, wrapping around the window.
+    #[inline]
+    fn next_tick(&self) -> Option<u64> {
+        if self.summary == 0 {
+            return None;
+        }
+        let start = ((self.cursor + 1) % SLOTS) as usize;
+        let (w, b) = (start >> 6, start & 63);
+        let here = self.occ[w] >> b;
+        let slot = if here != 0 {
+            start + here.trailing_zeros() as usize
+        } else {
+            // Words after `w`, else wrap to the lowest occupied word
+            // (possibly `w` itself, below `b`).
+            let after = self.summary & (!0u64).checked_shl(w as u32 + 1).unwrap_or(0);
+            let word = if after != 0 { after } else { self.summary }.trailing_zeros() as usize;
+            (word << 6) + self.occ[word].trailing_zeros() as usize
+        };
+        let delta = (slot as u64).wrapping_sub(self.cursor) % SLOTS;
+        debug_assert!(delta != 0, "the cursor's own slot is never occupied");
+        Some(self.cursor + delta)
+    }
+
+    /// Moves the cursor to `tick` (the earliest pending tick), pulls the
+    /// far entries the window now reaches into it, and drains the
+    /// cursor's slot into `ready`.
+    fn advance_to(&mut self, tick: u64) {
+        debug_assert!(self.ready.is_empty() && tick > self.cursor);
+        self.cursor = tick;
+        while let Some(f) = self.far.peek() {
+            let t = f.0 .0 >> GRAN_BITS;
+            if t >= tick + SLOTS {
+                break;
             }
-            if self.in_slots == 0 {
-                return None;
-            }
-            self.advance();
-        }
-    }
-
-    fn overflow_min(&mut self) -> Option<Key> {
-        if self.overflow_dirty {
-            self.overflow
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-            self.overflow_dirty = false;
-        }
-        self.overflow.last().map(|e| e.0)
-    }
-
-    /// Moves the cursor to the next occupied slot, cascading it toward
-    /// level 0 until a tick group can be drained into `ready`. Requires
-    /// `in_slots > 0`.
-    ///
-    /// Key ordering property of the level assignment: an entry sits at
-    /// level `l` because its tick agrees with the cursor on every group
-    /// above `l` and first differs in group `l` — so every level-`l`
-    /// entry expires strictly before every level-`l+1` entry. The
-    /// earliest pending slot is therefore the first occupied slot (from
-    /// the cursor's index) of the **lowest** occupied level; no
-    /// slot-by-slot stepping through empty regions is ever needed.
-    fn advance(&mut self) {
-        debug_assert!(self.ready.is_empty() && self.in_slots > 0);
-        loop {
-            let found = (0..LEVELS).find_map(|l| {
-                let idx = (self.cursor >> (SLOT_BITS * l as u32)) & MASK;
-                let masked = self.occ[l] & (u64::MAX << idx);
-                (masked != 0).then(|| (l, masked.trailing_zeros() as usize))
-            });
-            let Some((l, j)) = found else {
-                // All levels empty yet in_slots > 0 would be a broken
-                // invariant; bail out rather than spin.
-                debug_assert_eq!(self.in_slots, 0, "timer wheel lost entries");
-                return;
+            let Some(Far(key, event)) = self.far.pop() else {
+                unreachable!()
             };
-            let shift = SLOT_BITS * l as u32;
-            // Start of the found slot: groups above `l` keep their
-            // current values, groups below `l` reset to zero. The
-            // cursor's own slot at any level is empty by construction
-            // (same-slot arms go to a lower level, same-tick arms to
-            // `ready`), so this never moves the cursor backwards.
-            let epoch = self.cursor & !(((1u64 << SLOT_BITS) << shift) - 1);
-            self.cursor = self.cursor.max(epoch + ((j as u64) << shift));
-            // Entries move out of the slot, never its buffer: swapping
-            // buffers between slots would let one large cascade, such
-            // as a slot full of RTO timers, leave a buffer of its size
-            // in every slot it passes through.
-            if l == 0 {
-                self.ready.append(&mut self.levels[0][j]);
-                self.occ[0] &= !(1 << j);
-                self.in_slots -= self.ready.len();
-                if self.ready.len() > 1 {
-                    self.ready.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-                }
-                return;
-            }
-            // Cascade the slot's entries toward level 0 and rescan.
-            let (lower, upper) = self.levels.split_at_mut(l);
-            let src = &mut upper[0][j];
-            self.occ[l] &= !(1 << j);
-            self.in_slots -= src.len();
-            for (key, event) in src.drain(..) {
-                let tick = key.0 >> GRAN_BITS;
-                debug_assert!(tick >= self.cursor);
-                if tick == self.cursor {
-                    // Due exactly at the new cursor position.
-                    let pos = self.ready.partition_point(|e| e.0 > key);
-                    self.ready.insert(pos, (key, event));
-                    continue;
-                }
-                let lv = level_of(tick ^ self.cursor);
-                debug_assert!(lv < l, "cascade must descend");
-                let slot = ((tick >> (SLOT_BITS * lv as u32)) & MASK) as usize;
-                lower[lv][slot].push((key, event));
-                self.occ[lv] |= 1 << slot;
-                self.in_slots += 1;
-            }
-            // Slots above level 1 fill in bursts and drain at most once
-            // per 16.7 µs: release a burst's buffer rather than keep
-            // every such slot at its peak for the rest of the run.
-            if l >= 2 {
-                src.shrink_to(PARKED_CAP);
-            }
-            if !self.ready.is_empty() {
-                return;
+            if t == tick {
+                self.ready.push((key, event));
+            } else {
+                self.link(t, key, event);
             }
         }
+        let slot = (tick % SLOTS) as usize;
+        let mut i = std::mem::replace(&mut self.heads[slot], NIL);
+        if i != NIL {
+            let (w, b) = (slot >> 6, slot & 63);
+            self.occ[w] &= !(1 << b);
+            if self.occ[w] == 0 {
+                self.summary &= !(1 << w);
+            }
+        }
+        while i != NIL {
+            let n = &mut self.nodes[i as usize];
+            self.ready.push((n.key, n.event));
+            let next = std::mem::replace(&mut n.next, self.free);
+            self.free = i;
+            self.in_window -= 1;
+            i = next;
+        }
+        if self.ready.len() > 1 {
+            self.ready.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+        }
     }
-}
-
-/// Highest tick span the wheel covers: diffs with bits at or above this
-/// position overflow.
-const GRAN_DIFF_LIMIT: u32 = SLOT_BITS * LEVELS as u32;
-
-/// Level of a nonzero tick diff: the highest 6-bit group containing a
-/// set bit.
-#[inline]
-fn level_of(diff: u64) -> usize {
-    debug_assert!(diff != 0 && diff >> GRAN_DIFF_LIMIT == 0);
-    (63 - diff.leading_zeros()) as usize / SLOT_BITS as usize
 }
 
 #[cfg(test)]
@@ -278,20 +302,23 @@ mod tests {
         std::iter::from_fn(|| w.pop().map(|(k, _)| k)).collect()
     }
 
+    /// The window's span in picoseconds.
+    const SPAN: Ps = SLOTS << GRAN_BITS;
+
     #[test]
-    fn pops_in_key_order_across_levels() {
+    fn pops_in_key_order_across_lanes() {
         let mut w = TimerWheel::default();
-        // Same-slot, cross-slot, cross-epoch, deep-level and overflow
-        // distances all at once.
+        // Same-slot, in-window, window-edge and far distances at once.
         let times = [
             3 * US,
             17 * US,
+            SPAN - 1,
+            SPAN,
+            SPAN + 1,
             MS,
             5 * MS,
-            80 * MS,
             2 * SEC,
-            60 * SEC,
-            300 * SEC, // beyond the 281 s span: overflow lane
+            300 * SEC,
         ];
         for (i, &t) in times.iter().enumerate() {
             w.arm((t, i as u64), ev(i as u32));
@@ -322,13 +349,28 @@ mod tests {
     fn arm_behind_cursor_joins_ready_in_order() {
         let mut w = TimerWheel::default();
         w.arm((50 * MS, 0), ev(0));
-        // Peeking advances the cursor to the 50 ms slot.
-        assert_eq!(w.peek(), Some((50 * MS, 0)));
-        // A later arm at an earlier time must still pop first.
-        w.arm((10 * MS, 1), ev(1));
-        w.arm((50 * MS - 1, 2), ev(2));
+        w.arm((50 * MS + 1, 1), ev(1));
+        // Popping moves the cursor to the 50 ms slot.
+        assert_eq!(w.pop().map(|e| e.0), Some((50 * MS, 0)));
+        // Later arms at earlier times must still pop first.
+        w.arm((10 * MS, 2), ev(2));
+        w.arm((50 * MS - 1, 3), ev(3));
         let keys = drain(&mut w);
-        assert_eq!(keys, vec![(10 * MS, 1), (50 * MS - 1, 2), (50 * MS, 0)]);
+        assert_eq!(keys, vec![(10 * MS, 2), (50 * MS - 1, 3), (50 * MS + 1, 1)]);
+    }
+
+    #[test]
+    fn peek_and_bounded_pop_leave_the_cursor() {
+        let mut w = TimerWheel::default();
+        w.arm((5 * MS, 0), ev(0));
+        w.arm((3 * US, 1), ev(1));
+        assert_eq!(w.peek(), Some((3 * US, 1)));
+        assert!(w.pop_at_most((2 * US, u64::MAX)).is_none());
+        assert_eq!(w.cursor, 0, "a bounded probe moved the cursor");
+        assert_eq!(w.pop_at_most((3 * US, 1)).map(|e| e.0), Some((3 * US, 1)));
+        assert_eq!(w.peek(), Some((5 * MS, 0)));
+        assert!(w.pop_at_most((MS, 0)).is_none());
+        assert_eq!(w.cursor, (3 * US) >> GRAN_BITS);
     }
 
     #[test]
@@ -345,10 +387,11 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            // Arm 0–2 timers relative to the current virtual time.
+            // Arm 0–2 timers relative to the current virtual time, at
+            // in-window and far distances.
             for _ in 0..(x % 3) {
-                let delay = (x >> 8) % (3 * SEC);
-                let key = (now + delay, seq);
+                let scale = if x & 64 == 0 { 3 * SEC } else { 2 * SPAN };
+                let key = (now + (x >> 8) % scale, seq);
                 w.arm(key, ev(0));
                 pending.push(key);
                 seq += 1;
@@ -366,21 +409,37 @@ mod tests {
     }
 
     #[test]
-    fn drained_upper_slots_release_their_buffers() {
+    fn storage_tracks_the_peak_pending_count() {
         // Steady state of a transport run: 2 000 timers, each re-armed
-        // 3 ms past the clock whenever it fires, then a full drain.
+        // 3 ms past the clock whenever it fires, plus a packet-scale
+        // entry a few µs out per fire, then a full drain. Nothing a
+        // burst allocated may stay above twice the peak pending count.
         let mut w = TimerWheel::default();
         let n = 2_000u64;
         for i in 0..n {
             w.arm((3 * MS + i * 1_499, i), ev(0));
         }
+        let mut peak = w.len();
         for seq in n..n + 200_000 {
-            let ((now, _), _) = w.pop().expect("timers re-arm forever");
-            w.arm((now + 3 * MS + seq % 7_919, seq), ev(0));
+            let ((now, _), e) = w.pop().expect("timers re-arm forever");
+            let delay = match e {
+                Event::HostTxFree { host: 0 } => 3 * MS + seq % 7_919,
+                _ => continue,
+            };
+            w.arm((now + delay, seq), ev(0));
+            if seq % 3 == 0 {
+                w.arm((now + (seq % 11) * US, seq | 1 << 40), ev(1));
+            }
+            peak = peak.max(w.len());
         }
         drain(&mut w);
-        let kept = w.levels[2..].iter().flatten().map(Vec::capacity).max();
-        assert!(kept <= Some(PARKED_CAP), "an empty slot kept {kept:?}");
+        for (what, cap) in [
+            ("slab", w.nodes.capacity()),
+            ("far heap", w.far.capacity()),
+            ("ready", w.ready.capacity()),
+        ] {
+            assert!(cap <= 2 * peak, "{what} kept {cap} entries, peak {peak}");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! domain is the origin in its pushes' tie-break keys (see
 //! [`crate::event`]).
 
+use crate::engine::TxState;
 use crate::event::NodeId;
 use crate::faults::FaultKind;
 use crate::host::{Host, HostLink};
@@ -231,7 +232,7 @@ pub fn single_switch(c: SingleSwitchCfg) -> World {
             },
             queues: (0..c.classes).map(|_| VecDeque::new()).collect(),
             sched: c.sched.build(c.classes),
-            tx_busy: false,
+            tx: TxState::default(),
         })
         .collect();
 
@@ -356,7 +357,7 @@ pub fn leaf_spine(c: LeafSpineCfg) -> World {
                 },
                 queues: (0..c.classes).map(|_| VecDeque::new()).collect(),
                 sched: c.sched.build(c.classes),
-                tx_busy: false,
+                tx: TxState::default(),
             });
             rates.push(c.host_rate_bps);
         }
@@ -369,7 +370,7 @@ pub fn leaf_spine(c: LeafSpineCfg) -> World {
                 },
                 queues: (0..c.classes).map(|_| VecDeque::new()).collect(),
                 sched: c.sched.build(c.classes),
-                tx_busy: false,
+                tx: TxState::default(),
             });
             rates.push(c.fabric_rate_bps);
         }
@@ -402,7 +403,7 @@ pub fn leaf_spine(c: LeafSpineCfg) -> World {
                 },
                 queues: (0..c.classes).map(|_| VecDeque::new()).collect(),
                 sched: c.sched.build(c.classes),
-                tx_busy: false,
+                tx: TxState::default(),
             });
             rates.push(c.fabric_rate_bps);
         }
@@ -975,7 +976,7 @@ fn port(to: NodeId, rate_bps: u64, prop_ps: Ps, classes: usize, sched: SchedKind
         },
         queues: (0..classes).map(|_| VecDeque::new()).collect(),
         sched: sched.build(classes),
-        tx_busy: false,
+        tx: TxState::default(),
     }
 }
 

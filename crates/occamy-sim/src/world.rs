@@ -319,6 +319,7 @@ impl World {
         } = self;
         let mut ctx = engine::Ctx {
             now: *now,
+            key: (*now, 0),
             cfg,
             consts,
             hosts,
@@ -333,18 +334,18 @@ impl World {
         };
         let dm = domains.as_ref().filter(|d| d.n_domains() > 1);
         let stop = ctx.metrics.events_processed.saturating_add(max_events);
-        let exec = |ctx: &mut engine::Ctx<'_>, events: &mut EventQueue, at, ev| {
+        let exec = |ctx: &mut engine::Ctx<'_>, events: &mut EventQueue, key, ev| {
             if let Some(dm) = dm {
                 events.set_origin(engine::event_domain(dm, ctx.hot, ctx.cbrs, ctx.faults, &ev));
             }
-            engine::execute_event(ctx, events, at, ev);
+            engine::execute_event(ctx, events, key, ev);
             ctx.metrics.events_processed < stop
         };
         match std::num::NonZeroU64::new(crate::telemetry::cadence()) {
             // Telemetry off: the pre-telemetry loop.
             None => {
-                while let Some((at, ev)) = events.pop_at_most(limit) {
-                    if !exec(&mut ctx, events, at, ev) {
+                while let Some((key, ev)) = events.pop_keyed(limit) {
+                    if !exec(&mut ctx, events, key, ev) {
                         break;
                     }
                 }
@@ -354,8 +355,8 @@ impl World {
             Some(cadence) => {
                 let step = cadence.get();
                 let mut next = (ctx.metrics.events_processed / cadence + 1) * step;
-                while let Some((at, ev)) = events.pop_at_most(limit) {
-                    let more = exec(&mut ctx, events, at, ev);
+                while let Some((key, ev)) = events.pop_keyed(limit) {
+                    let more = exec(&mut ctx, events, key, ev);
                     if ctx.metrics.events_processed >= next {
                         crate::telemetry::emit_snapshot_serial(
                             &*ctx.switches,

@@ -3,8 +3,15 @@
 //! property that makes the wheel a drop-in replacement for the old
 //! binary heap with bit-identical simulation results.
 
-use occamy_sim::{Event, EventQueue, Ps};
+use occamy_sim::{Event, EventQueue, Key, Ps, MS};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// The wheel's slot width in picoseconds and its near window in slots
+/// (the geometry in `src/timer.rs`): entries this far out and beyond
+/// take the far lane.
+const TICK: Ps = 1 << 12;
+const SPAN_TICKS: u64 = 1 << 12;
 
 proptest! {
     /// Mixed pushes across all three lanes at delays spanning nanoseconds
@@ -72,5 +79,82 @@ proptest! {
         let due = delays.iter().filter(|&&d| d <= limit).count();
         prop_assert_eq!(popped, due);
         prop_assert_eq!(q.len(), delays.len() - due);
+    }
+
+    /// Every way an entry reaches the wheel, checked pop by pop against
+    /// a reference ordered set of keys:
+    ///
+    /// - `op 0`: a push one tick inside, at or one tick beyond the near
+    ///   window's edge (`b % 3` picks span − 1, span or span + 1 ticks);
+    /// - `op 1`: a push within the window;
+    /// - `op 2`: a far push (up to 100 ms), which must migrate into the
+    ///   window as pops advance the cursor;
+    /// - `op 3`: a push at or behind the last pop's time, i.e. at or
+    ///   behind the cursor;
+    /// - `op 4`: a key stamped now and armed later by `op 5`, possibly
+    ///   after pops passed its time (a lazy transmit completion);
+    /// - `op ≥ 6`: a pop, bounded by `pop_at_most` when `b` is odd.
+    #[test]
+    fn window_edges_migrations_and_keyed_arms_match_reference(
+        script in prop::collection::vec((0u8..9, 0u64..u64::MAX), 1..400)
+    ) {
+        let mut q = EventQueue::new();
+        let mut model: BTreeSet<Key> = BTreeSet::new();
+        let mut keys: Vec<Key> = Vec::new(); // by event id
+        let mut stamped: Vec<Key> = Vec::new();
+        let mut now: Ps = 0;
+        let mut tag = 0u64;
+        for (op, b) in script {
+            let at = match op {
+                0 => now + (SPAN_TICKS - 1 + b % 3) * TICK + (b >> 8) % TICK,
+                1 => now + (b >> 8) % (SPAN_TICKS * TICK),
+                2 => now + (b >> 8) % (100 * MS),
+                3 => now.saturating_sub((b >> 8) % (3 * TICK)),
+                4 => now + (b >> 8) % (3 * SPAN_TICKS * TICK),
+                5 => {
+                    if !stamped.is_empty() {
+                        let key = stamped.swap_remove((b % stamped.len() as u64) as usize);
+                        q.arm_keyed(key, Event::HostTxFree { host: keys.len() as u32 });
+                        keys.push(key);
+                        model.insert(key);
+                    }
+                    continue;
+                }
+                _ => {
+                    let limit = if b % 2 == 1 { now + (b >> 8) % (2 * SPAN_TICKS * TICK) } else { Ps::MAX };
+                    let popped = q.pop_at_most(limit);
+                    let want = model.first().copied().filter(|k| k.0 <= limit);
+                    match popped {
+                        Some((t, Event::HostTxFree { host })) => {
+                            let key = keys[host as usize];
+                            prop_assert_eq!(Some(key), want);
+                            prop_assert_eq!(t, key.0);
+                            model.remove(&key);
+                            now = now.max(t);
+                        }
+                        Some(other) => prop_assert!(false, "unexpected {:?}", other),
+                        None => prop_assert_eq!(want, None),
+                    }
+                    continue;
+                }
+            };
+            let key = (at, tag);
+            tag += 1;
+            if op == 4 {
+                prop_assert_eq!(q.stamp(at), key);
+                stamped.push(key);
+            } else {
+                q.push(at, Event::HostTxFree { host: keys.len() as u32 });
+                keys.push(key);
+                model.insert(key);
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        while let Some((t, Event::HostTxFree { host })) = q.pop() {
+            let key = keys[host as usize];
+            prop_assert_eq!(Some(key), model.pop_first());
+            prop_assert_eq!(t, key.0);
+        }
+        prop_assert!(model.is_empty() && q.is_empty());
     }
 }
